@@ -3,7 +3,6 @@
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -65,7 +64,6 @@ namespace detail {
 /// rank enters them in order.
 struct IbarrierSync {
     std::mutex mutex;
-    std::condition_variable cv;
     std::vector<std::uint64_t> next_round_of_rank; ///< per comm rank
     std::map<std::uint64_t, int> arrivals;         ///< round -> #arrived
     std::uint64_t completed_rounds = 0;            ///< rounds [0, this) done
@@ -81,7 +79,6 @@ struct IbarrierSync {
 /// a dead rank's arrival or consumption.
 struct FtSync {
     std::mutex mutex;
-    std::condition_variable cv;
     std::vector<int> arrived_ranks; ///< world ranks that entered the open round
     std::vector<int> pending_ranks; ///< world ranks yet to pick up the result
     void* result = nullptr;         ///< round result (e.g. the shrunken communicator)
@@ -182,6 +179,9 @@ public:
 
     [[nodiscard]] detail::IbarrierSync& ibarrier_sync() { return ibarrier_; }
     [[nodiscard]] detail::FtSync& ft_sync() { return ft_; }
+    /// @brief Notifies the Waiter of every member (a shared round of this
+    /// communicator changed state).
+    void notify_members() const;
 
     /// @name Handle reference counting
     /// @{

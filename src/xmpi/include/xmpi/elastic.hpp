@@ -53,7 +53,6 @@
 /// capacity is exhausted.
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
 #include <mutex>
 #include <vector>
@@ -76,11 +75,10 @@ enum class MemberState : int {
 };
 
 /// @brief Shared state of the membership-epoch machine; one per elastic
-/// world, guarded by @c mutex (the elastic waits are bounded cv waits, so
-/// World::wake_all may notify @c cv without holding it).
+/// world, guarded by @c mutex. Ranks wait for it on their own Waiter, which
+/// every arrival and epoch publish notifies (World::wake_all).
 struct ElasticState {
     std::mutex mutex;
-    std::condition_variable cv;
     std::uint64_t epoch = 0;          ///< mirrors World::membership_epoch()
     std::vector<MemberState> members; ///< per slot, sized to capacity
     int next_slot = 0;                ///< first never-handed-out slot

@@ -29,15 +29,12 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <list>
 #include <memory>
 #include <mutex>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -45,7 +42,7 @@
 #include "xmpi/profile.hpp"
 #include "xmpi/ring.hpp"
 #include "xmpi/status.hpp"
-#include "xmpi/tuning.hpp"
+#include "xmpi/waiter.hpp"
 
 namespace xmpi {
 
@@ -89,24 +86,12 @@ struct RecvTicket {
 class Mailbox {
 public:
     Mailbox(World* world, PayloadPool* pool, profile::RankCounters* counters, int rank,
-            int world_size)
-        : world_(world),
-          pool_(pool),
-          counters_(counters),
-          rank_(rank),
-          world_size_(world_size) {}
+            int world_size);
 
-    /// @brief Producer-side poke after publishing a ring entry: bumps the
-    /// arrival counter and wakes the receiver iff it is (about to be)
-    /// blocked. The empty lock/unlock pairs with sleep_locked() so a
-    /// receiver between its final drain and its wait cannot miss the wake.
-    void notify_push() {
-        arrivals_.fetch_add(1, std::memory_order_seq_cst);
-        if (sleepers_.load(std::memory_order_seq_cst) > 0) {
-            { std::lock_guard lock(mutex_); }
-            cv_.notify_all();
-        }
-    }
+    /// @brief Producer-side poke after publishing a ring entry. The receiving
+    /// rank's Waiter epoch doubles as the arrival counter: a drain is due
+    /// whenever it moved since the last sweep.
+    void notify_push() { waiter_.notify(); }
 
     /// @brief Ring-full fallback: drains @c ring in order under the mailbox
     /// mutex, then delivers @c message directly. Preserves the sender's
@@ -114,9 +99,10 @@ public:
     /// the matching layer first.
     void deliver_overflow(PeerRing& ring, Message message);
 
-    /// @brief Opportunistically drains the incoming rings (used by waiting
-    /// senders and the progress engine so rendezvous and batches keep
-    /// flowing while a rank blocks elsewhere). Returns true on progress.
+    /// @brief Drains the incoming rings if anything arrived since the last
+    /// sweep (waiting senders and the progress engine use it so rendezvous
+    /// and batches keep flowing while a rank blocks elsewhere). Returns true
+    /// on progress.
     bool poll();
 
     /// @brief Tries to match a receive against the unexpected queue (after
@@ -129,48 +115,18 @@ public:
     /// Returns false iff aborted before completion (the ticket is withdrawn).
     template <typename AbortPredicate>
     bool await(std::shared_ptr<RecvTicket> const& ticket, AbortPredicate&& aborted) {
-        // In latency-bound patterns the matching send lands within a few
-        // microseconds of the receive, so briefly polling skips the
-        // condition-variable sleep/wake round trip. The poll must also
-        // drain: completion may literally be sitting in our own rings.
-        for (int i = tuning::spin_budget(); i > 0; --i) {
+        bool gave_up = false;
+        waiter_.wait_until([&](bool parked) {
+            // Drain before checking: completion may be sitting in our rings.
+            poll();
             if (ticket->complete.load(std::memory_order_acquire)) {
                 return true;
             }
-            if (arrivals_.load(std::memory_order_acquire)
-                != drained_.load(std::memory_order_acquire)) {
-                poll();
-            }
-            spin_pause();
-        }
-        // Middle rung: yield instead of parking. On an oversubscribed
-        // machine this hands the core to the very thread we are waiting
-        // on; a futex sleep/wake round trip would cost microseconds per
-        // pingpong leg.
-        for (int i = tuning::yield_budget(); i > 0; --i) {
-            if (ticket->complete.load(std::memory_order_acquire)) {
-                return true;
-            }
-            if (arrivals_.load(std::memory_order_acquire)
-                != drained_.load(std::memory_order_acquire)) {
-                poll();
-            }
-            std::this_thread::yield();
-        }
-        std::unique_lock lock(mutex_);
-        while (true) {
-            if (drain_rings_locked()) {
-                cv_.notify_all(); // other waiters may have been completed
-            }
-            if (ticket->complete.load(std::memory_order_acquire)) {
-                return true;
-            }
-            if (aborted()) {
-                remove_posted_locked(ticket);
-                return false;
-            }
-            sleep_locked(lock);
-        }
+            gave_up = parked && aborted();
+            return gave_up;
+        });
+        // A completion that raced the abort wins: cancel() fails for it.
+        return !gave_up || !cancel(ticket);
     }
 
     /// @brief Non-blocking completion check used by request test.
@@ -187,55 +143,12 @@ public:
     /// @brief Blocking probe; @c aborted as in await().
     template <typename AbortPredicate>
     bool probe_blocking(Envelope const& pattern, Status& status, AbortPredicate&& aborted) {
-        std::unique_lock lock(mutex_);
-        while (true) {
-            if (drain_rings_locked()) {
-                cv_.notify_all();
-            }
-            if (find_unexpected_locked(pattern, status)) {
-                return true;
-            }
-            if (aborted()) {
-                return false;
-            }
-            sleep_locked(lock);
-        }
-    }
-
-    /// @brief Parks the caller until the mailbox is poked (notify_push, a
-    /// completed rendezvous claim via wake()) or @c timeout elapses. Drains
-    /// before parking; used by rendezvous senders waiting for their claim.
-    /// @param done Caller's completion predicate, re-checked under the
-    /// mailbox mutex right before parking. Together with the signals_
-    /// snapshot this closes the lost-wake race against a waker that fires
-    /// between the caller's last check and the park: either the waker's
-    /// signal bump is visible here (we skip the sleep), or our sleepers_
-    /// increment is visible to the waker (it notifies). The only residual
-    /// window — notify landing between our signal check and the wait —
-    /// costs one @c timeout, never a hang.
-    template <typename Rep, typename Period, typename Predicate>
-    void wait_signal(std::chrono::duration<Rep, Period> timeout, Predicate&& done) {
-        std::unique_lock lock(mutex_);
-        std::uint64_t const signals = signals_.load(std::memory_order_seq_cst);
-        if (drain_rings_locked()) {
-            cv_.notify_all();
-            return; // progress was made; let the caller re-check its state
-        }
-        if (done()) {
-            return;
-        }
-        sleepers_.fetch_add(1, std::memory_order_seq_cst);
-        if (arrivals_.load(std::memory_order_seq_cst)
-                == drained_.load(std::memory_order_relaxed)
-            && signals_.load(std::memory_order_seq_cst) == signals) {
-            cv_.wait_for(lock, timeout);
-        }
-        sleepers_.fetch_sub(1, std::memory_order_relaxed);
-    }
-
-    template <typename Rep, typename Period>
-    void wait_signal(std::chrono::duration<Rep, Period> timeout) {
-        wait_signal(timeout, [] { return false; });
+        bool found = false;
+        waiter_.wait_until([&](bool parked) {
+            found = probe(pattern, status);
+            return found || (parked && aborted());
+        });
+        return found;
     }
 
     /// @brief Raises the ring-scan bound after an elastic membership
@@ -245,19 +158,6 @@ public:
     void grow_world_size(int new_size) {
         if (new_size > world_size_.load(std::memory_order_relaxed)) {
             world_size_.store(new_size, std::memory_order_release);
-        }
-    }
-
-    /// @brief Wakes all threads blocked on this mailbox (failure/revocation,
-    /// rendezvous completion). Deliberately does NOT take the mailbox mutex:
-    /// a receiver completes a rendezvous while holding its *own* mailbox
-    /// lock, and two ranks exchanging large messages would ABBA-deadlock if
-    /// waking the peer required the peer's lock. The signals_ bump pairs
-    /// with the snapshot in wait_signal() instead (seq_cst both sides).
-    void wake() {
-        signals_.fetch_add(1, std::memory_order_seq_cst);
-        if (sleepers_.load(std::memory_order_seq_cst) > 0) {
-            cv_.notify_all();
         }
     }
 
@@ -273,19 +173,6 @@ private:
     bool drain_one_ring_locked(PeerRing& ring);
     void dispatch_entry_locked(RingEntry&& entry, std::size_t batch_bytes);
     void deliver_locked(Message&& message);
-
-    /// @brief Blocks on the condition variable unless a push raced in since
-    /// the last drain. The bounded wait is a liveness backstop only; the
-    /// seq_cst sleeper/arrival handshake with notify_push() makes a lost
-    /// wakeup impossible in the protocol itself.
-    void sleep_locked(std::unique_lock<std::mutex>& lock) {
-        sleepers_.fetch_add(1, std::memory_order_seq_cst);
-        if (arrivals_.load(std::memory_order_seq_cst)
-            == drained_.load(std::memory_order_relaxed)) {
-            cv_.wait_for(lock, std::chrono::milliseconds(2));
-        }
-        sleepers_.fetch_sub(1, std::memory_order_relaxed);
-    }
 
     bool find_unexpected_locked(Envelope const& pattern, Status& status);
     void complete_ticket_locked(
@@ -320,16 +207,10 @@ private:
     /// at elastic membership transitions; constant in non-elastic worlds.
     std::atomic<int> world_size_;
 
+    Waiter& waiter_; ///< this rank's Waiter (owned by the World)
     std::mutex mutex_;
-    std::condition_variable cv_;
-    /// Pushes into this rank's rings (producer side, seq_cst with sleepers_).
-    alignas(64) std::atomic<std::uint64_t> arrivals_{0};
-    /// Arrival snapshot of the last completed sweep (consumer side).
+    /// Waiter epoch of the last completed sweep.
     std::atomic<std::uint64_t> drained_{0};
-    std::atomic<int> sleepers_{0};
-    /// Out-of-band pokes from wake() (rendezvous completion, failure); a
-    /// second eventcount dimension so wake() never needs this mutex.
-    std::atomic<std::uint64_t> signals_{0};
 
     std::uint64_t next_message_seq_ = 0;
     std::uint64_t next_ticket_seq_ = 0;

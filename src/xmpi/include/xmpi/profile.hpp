@@ -305,7 +305,8 @@ std::vector<Span> take_spans();
 void clear_spans();
 /// @brief JSON dump hook: the current span log as a JSON array of objects
 /// (op, algorithm, rank, start_s, duration_s, bytes_in, bytes_out,
-/// count_exchange). Does not clear the log.
+/// count_exchange, queue_s, epoch_wait_s, bytes_put, bytes_got, restarts,
+/// epoch). Does not clear the log.
 std::string spans_json();
 
 /// @brief Called by the xmpi collective implementations to record which

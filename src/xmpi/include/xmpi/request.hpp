@@ -16,6 +16,7 @@ namespace detail {
 struct RecvTicket;
 struct SyncHandle;
 class Mailbox;
+class Waiter;
 } // namespace detail
 
 /// @brief A non-blocking operation handle. Concrete subclasses implement the
@@ -166,13 +167,18 @@ protected:
 /// @brief Request for a non-blocking barrier round (see Comm::ibarrier).
 class IbarrierRequest final : public Request {
 public:
-    IbarrierRequest(Comm* comm, std::uint64_t round) : comm_(comm), round_(round) {}
+    /// @param waiter The initiating rank's Waiter (notified at round completion).
+    IbarrierRequest(Comm* comm, std::uint64_t round, Waiter& waiter)
+        : comm_(comm),
+          round_(round),
+          waiter_(&waiter) {}
     bool test(Status& status) override;
     void wait(Status& status) override;
 
 private:
     Comm* comm_;
     std::uint64_t round_;
+    Waiter* waiter_;
 };
 
 } // namespace detail

@@ -27,7 +27,6 @@
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -37,6 +36,7 @@
 
 #include "xmpi/pool.hpp"
 #include "xmpi/status.hpp"
+#include "xmpi/waiter.hpp"
 
 namespace xmpi {
 class World;
@@ -82,31 +82,18 @@ struct EnvelopeHash {
 };
 
 /// @brief Completion handle for synchronous-mode sends: set when the message
-/// has been matched by a receive.
+/// has been matched by a receive; the match notifies the sending rank.
 struct SyncHandle {
-    std::mutex mutex;
-    std::condition_variable cv;
-    bool matched = false;
+    explicit SyncHandle(Waiter& sender) : sender(&sender) {}
+
+    std::atomic<bool> matched = false;
+    Waiter* sender;
 
     void signal() {
-        {
-            std::lock_guard lock(mutex);
-            matched = true;
-        }
-        cv.notify_all();
+        matched.store(true, std::memory_order_release);
+        sender->notify();
     }
 };
-
-/// @brief CPU-relax hint for spin loops.
-inline void spin_pause() {
-#if defined(__x86_64__) || defined(__i386__)
-    __builtin_ia32_pause();
-#elif defined(__aarch64__)
-    asm volatile("yield");
-#else
-    std::atomic_signal_fence(std::memory_order_seq_cst);
-#endif
-}
 
 /// @brief A pooled byte buffer with shared ownership: returned to its pool
 /// when the last reference drops. Batch buffers are referenced both by the
@@ -182,7 +169,7 @@ struct RendezvousState {
     std::byte const* src_data = nullptr; ///< sender's contiguous payload
     std::size_t size = 0;
     std::vector<std::byte> fallback; ///< eager fallback copy (sender-filled)
-    class Mailbox* sender_box = nullptr; ///< woken when the claim completes
+    Waiter* sender = nullptr; ///< notified when the claim completes
 
     /// @brief Spin-waits (with yields, for oversubscribed cores) until the
     /// phase leaves @c from. Used by the receiver while the sender finishes

@@ -1,0 +1,160 @@
+/// @file waiter.hpp
+/// @brief The one blocking primitive of xmpi: a per-rank eventcount.
+///
+/// Every blocking site in xmpi waits through Waiter::wait_until(pred). The
+/// predicate is re-evaluated through a spin -> yield -> block ladder, and the
+/// block rung parks only if no notify() happened since the predicate's last
+/// evaluation. Every event that can turn some predicate true calls notify()
+/// on the Waiter of each rank that may be waiting for it (the event -> notify
+/// table is in DESIGN.md, "One waiter"). World owns one Waiter per rank slot.
+///
+/// Handshake (seq_cst on both sides, a Dekker pairing):
+///
+///     notifier: publish state; epoch_++; if sleepers_ > 0: lock mutex_, notify_all
+///     waiter:   seen = epoch_; if pred(): return; lock mutex_; sleepers_++;
+///               if epoch_ == seen: park on cv_; sleepers_--
+///
+/// Either the waiter's second epoch_ load observes the increment (it
+/// re-evaluates instead of parking), or the notifier's sleepers_ load
+/// observes the waiter's increment — and then the notifier's mutex_
+/// acquisition cannot complete before the waiter is parked, so notify_all
+/// reaches it. A waiter therefore never sleeps through an event.
+///
+/// mutex_ is a leaf lock: it is taken only inside notify() and the block
+/// rung, never while a predicate runs. notify() may thus be called with any
+/// caller lock held, and a predicate may take any lock of its own.
+#pragma once
+
+#include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <cstdint>
+#include <mutex>
+#include <thread>
+#include <type_traits>
+
+#include "xmpi/tuning.hpp"
+
+namespace xmpi::detail {
+
+/// @brief CPU-relax hint for spin loops.
+inline void spin_pause() {
+#if defined(__x86_64__) || defined(__i386__)
+    __builtin_ia32_pause();
+#elif defined(__aarch64__)
+    asm volatile("yield");
+#else
+    std::atomic_signal_fence(std::memory_order_seq_cst);
+#endif
+}
+
+class alignas(64) Waiter {
+public:
+    using Clock = std::chrono::steady_clock;
+
+    /// @brief Announces an event: every waiter re-evaluates its predicate.
+    void notify() {
+        epoch_.fetch_add(1, std::memory_order_seq_cst);
+        if (sleepers_.load(std::memory_order_seq_cst) > 0) {
+            { std::lock_guard lock(mutex_); }
+            cv_.notify_all();
+        }
+    }
+
+    /// @brief Number of notify() calls so far. The mailbox uses it as its
+    /// arrival counter: a drain is due whenever it moved since the last one.
+    [[nodiscard]] std::uint64_t epoch() const { return epoch_.load(std::memory_order_acquire); }
+
+    /// @brief Returns once @c pred() returns true.
+    ///
+    /// A predicate may instead take a `bool parked` argument, which is false
+    /// in the spin and yield rungs and true in the block rung. Sites use it
+    /// to keep slow-path checks (failure, revocation) out of the spin rungs:
+    /// a completion that is microseconds away then wins over a failure that
+    /// lands meanwhile, and the hot loop stays short.
+    template <typename Predicate>
+    void wait_until(Predicate&& pred) {
+        (void)wait(pred, nullptr);
+    }
+
+    /// @brief Returns true once @c pred() returns true, or false once
+    /// @c deadline has passed with @c pred() still false.
+    template <typename Predicate>
+    bool wait_until(Predicate&& pred, Clock::time_point deadline) {
+        return wait(pred, &deadline);
+    }
+
+private:
+    template <typename Predicate>
+    static bool holds(Predicate& pred, bool parked) {
+        if constexpr (std::is_invocable_v<Predicate&, bool>) {
+            return pred(parked);
+        } else {
+            return pred();
+        }
+    }
+
+    template <typename Predicate>
+    bool wait(Predicate& pred, Clock::time_point const* deadline) {
+        // In latency-bound patterns the event lands within microseconds, so
+        // spinning skips the sleep/wake round trip. The yield rung hands the
+        // core to the thread we wait on when the machine is oversubscribed.
+        for (int i = tuning::spin_budget(); i > 0; --i) {
+            if (holds(pred, false)) {
+                return true;
+            }
+            spin_pause();
+        }
+        for (int i = tuning::yield_budget(); i > 0; --i) {
+            if (holds(pred, false)) {
+                return true;
+            }
+            std::this_thread::yield();
+        }
+        for (;;) {
+            std::uint64_t const seen = epoch_.load(std::memory_order_seq_cst);
+            if (holds(pred, true)) {
+                return true;
+            }
+            if (deadline != nullptr && Clock::now() >= *deadline) {
+                return false;
+            }
+            std::unique_lock lock(mutex_);
+            sleepers_.fetch_add(1, std::memory_order_seq_cst);
+            if (epoch_.load(std::memory_order_seq_cst) == seen) {
+                if (deadline == nullptr) {
+                    cv_.wait(lock);
+                } else {
+                    cv_.wait_until(lock, *deadline);
+                }
+            }
+            sleepers_.fetch_sub(1, std::memory_order_relaxed);
+        }
+    }
+
+    std::atomic<std::uint64_t> epoch_{0};
+    std::atomic<int> sleepers_{0};
+    std::mutex mutex_;
+    std::condition_variable cv_;
+};
+
+/// @brief Waiter::wait_until for a predicate over state guarded by
+/// @c lock's mutex: @c pred runs with the mutex held, and the call returns
+/// with it held. The mutex is released only while the caller sleeps.
+template <typename Mutex, typename Predicate>
+void wait_locked(Waiter& waiter, std::unique_lock<Mutex>& lock, Predicate&& pred) {
+    if (pred()) {
+        return;
+    }
+    lock.unlock();
+    waiter.wait_until([&] {
+        lock.lock();
+        if (pred()) {
+            return true;
+        }
+        lock.unlock();
+        return false;
+    });
+}
+
+} // namespace xmpi::detail

@@ -38,7 +38,6 @@
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstddef>
 #include <mutex>
 #include <memory>
@@ -148,10 +147,6 @@ public:
     /// no pending ops. Returns XMPI_ERR_RMA_SYNC when violated.
     int check_free(int origin);
 
-    /// @brief Wakes ranks blocked in lock() (called by World::wake_all when
-    /// failure state changes, and by unlock()).
-    void notify_waiters();
-
     /// @name Reference counting (one count per comm member)
     /// @{
     void retain() { refcount_.fetch_add(1, std::memory_order_relaxed); }
@@ -208,9 +203,9 @@ private:
     std::vector<char> fence_open_;      ///< per-rank, touched only by the owner
     std::vector<std::vector<PendingOp>> pending_; ///< per-origin, owner-only
     std::vector<TargetLock> locks_;     ///< under mutex_
+    int blocked_lockers_ = 0;           ///< under mutex_; unlock notifies iff > 0
     std::unique_ptr<std::mutex[]> apply_mutex_; ///< per-target op application
     std::mutex mutex_;
-    std::condition_variable cv_;
     std::atomic<int> refcount_{1};
 };
 

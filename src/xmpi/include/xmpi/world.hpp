@@ -23,6 +23,7 @@
 #include "xmpi/netmodel.hpp"
 #include "xmpi/pool.hpp"
 #include "xmpi/profile.hpp"
+#include "xmpi/waiter.hpp"
 
 namespace xmpi {
 
@@ -33,8 +34,6 @@ class Engine;
 namespace detail {
 struct ElasticState;
 }
-
-class Win;
 
 class World {
 public:
@@ -66,6 +65,10 @@ public:
     void set_network_model(NetworkModel model) { model_ = model; }
 
     [[nodiscard]] detail::Mailbox& mailbox(int world_rank) { return *mailboxes_[world_rank]; }
+    /// @brief The Waiter every blocking wait of @c world_rank parks on.
+    [[nodiscard]] detail::Waiter& waiter(int world_rank) {
+        return waiters_[static_cast<std::size_t>(world_rank)];
+    }
     [[nodiscard]] profile::RankCounters& counters(int world_rank) {
         return *counters_[world_rank];
     }
@@ -91,7 +94,8 @@ public:
     /// @brief Marks a rank failed without unwinding (used when a rank thread
     /// exits via an exception).
     void mark_failed(int world_rank);
-    /// @brief Wakes all threads blocked in any mailbox or sync structure.
+    /// @brief Notifies the Waiter of every rank slot (failure, revocation,
+    /// and membership events can satisfy any rank's wait).
     void wake_all();
     /// @}
 
@@ -167,6 +171,7 @@ private:
     int capacity_;
     NetworkModel model_;
     detail::PayloadPool payload_pool_; ///< must outlive the rings + mailboxes
+    std::unique_ptr<detail::Waiter[]> waiters_; ///< one per slot, sized to capacity
     std::unique_ptr<detail::RingRegistry> rings_; ///< destroyed after mailboxes
     std::vector<std::unique_ptr<detail::Mailbox>> mailboxes_;
     std::vector<std::unique_ptr<profile::RankCounters>> counters_;
@@ -174,9 +179,6 @@ private:
     std::atomic<int> num_failed_{0};
     std::atomic<int> next_context_{0};
     Comm* world_comm_ = nullptr;
-    std::vector<Comm*> registered_comms_; // for wake_all on ibarrier/ft syncs
-    std::vector<Win*> registered_wins_;   // for wake_all on lock/fence waits
-    std::mutex registered_comms_mutex_;
     std::atomic<chaos::Engine*> chaos_engine_{nullptr};
     std::vector<std::unique_ptr<chaos::Engine>> chaos_engines_; ///< current + superseded
     std::mutex chaos_mutex_;
@@ -200,17 +202,11 @@ private:
     void create_rank_slot_locked(int slot);
     [[nodiscard]] bool needs_transition_locked() const;
     [[nodiscard]] bool round_complete_locked() const;
+    /// @brief Records @c slot's arrival at the open transition round (once).
+    void arrive_locked(int slot);
     void request_transition_locked();
     void perform_transition_locked(int producer);
     /// @}
-
-    friend class Comm;
-    void register_comm(Comm* comm);
-    void unregister_comm(Comm* comm);
-
-    friend class Win;
-    void register_win(Win* win);
-    void unregister_win(Win* win);
 };
 
 namespace detail {
@@ -223,6 +219,10 @@ struct RankContext {
 
 /// @brief The calling thread's rank context; world == nullptr outside run().
 RankContext& current_context();
+
+/// @brief The Waiter that events of @c ctx's rank notify. Threads outside a
+/// world share one process-wide Waiter.
+Waiter& waiter_of(RankContext const& ctx);
 
 /// @brief The calling thread's world; throws UsageError if not attached.
 World& current_world();

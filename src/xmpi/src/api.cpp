@@ -3,7 +3,6 @@
 /// counters, and dispatch into the internal implementation.
 #include "xmpi/api.hpp"
 
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -16,7 +15,6 @@
 #include "xmpi/chaos.hpp"
 #include "xmpi/progress.hpp"
 #include "xmpi/ring.hpp"
-#include "xmpi/tuning.hpp"
 
 namespace {
 
@@ -62,41 +60,24 @@ bool is_pollable(XMPI_Request request) {
     return request != XMPI_REQUEST_NULL && request->active();
 }
 
-/// Runs @c sweep until it returns true, escalating spin -> yield -> block on
-/// the calling rank's mailbox eventcount (any message delivery, engine
-/// completion, or failure wakes it). Replaces the old unbounded
-/// yield() busy-wait of Waitany/Waitsome: a blocked rank burns no CPU
-/// beyond the bounded spin/yield budgets. The 1ms timeout bounds the
-/// wake-up race window (see Mailbox::wait_signal); progress::poll() keeps
-/// the rank's own engine tasks moving while it waits.
+/// Runs @c sweep until it returns true, blocking on the calling rank's
+/// Waiter: every event that can complete one of its requests (delivery,
+/// match, engine completion, round completion, failure) notifies it.
+/// progress::poll() keeps the rank's own engine tasks moving while it waits.
 template <typename Sweep>
 void wait_ladder(Sweep&& sweep) {
-    for (int i = xmpi::tuning::spin_budget(); i > 0; --i) {
-        if (sweep()) {
-            return;
-        }
-        xmpi::detail::spin_pause();
-    }
-    for (int i = xmpi::tuning::yield_budget(); i > 0; --i) {
-        if (sweep()) {
-            return;
-        }
-        std::this_thread::yield();
-    }
     auto const& context = xmpi::detail::current_context();
     if (context.world == nullptr) {
         // Threads outside a world (helpers polling a handed-off request)
-        // have no mailbox to block on.
+        // have no Waiter that events notify.
         while (!sweep()) {
             std::this_thread::yield();
         }
         return;
     }
-    auto& mailbox = context.world->mailbox(context.world_rank);
-    while (!sweep()) {
-        xmpi::progress::poll();
-        mailbox.wait_signal(std::chrono::milliseconds(1));
-    }
+    context.world->waiter(context.world_rank).wait_until([&] {
+        return sweep() || (xmpi::progress::poll() && sweep());
+    });
 }
 
 } // namespace
@@ -225,7 +206,8 @@ int XMPI_Send(
 int XMPI_Ssend(
     void const* buf, int count, XMPI_Datatype datatype, int dest, int tag, XMPI_Comm comm) {
     count_call(xmpi::profile::Call::ssend);
-    auto sync = std::make_shared<xmpi::detail::SyncHandle>();
+    auto sync = std::make_shared<xmpi::detail::SyncHandle>(
+        comm->world().waiter(xmpi::detail::current_world_rank()));
     if (int const err = xmpi::detail::transport_send(
             *comm, dest, tag, comm->pt2pt_context(), buf, static_cast<std::size_t>(count),
             *datatype, sync);
@@ -259,7 +241,8 @@ int XMPI_Issend(
     void const* buf, int count, XMPI_Datatype datatype, int dest, int tag, XMPI_Comm comm,
     XMPI_Request* request) {
     count_call(xmpi::profile::Call::issend);
-    auto sync = std::make_shared<xmpi::detail::SyncHandle>();
+    auto sync = std::make_shared<xmpi::detail::SyncHandle>(
+        comm->world().waiter(xmpi::detail::current_world_rank()));
     int const err = xmpi::detail::transport_send(
         *comm, dest, tag, comm->pt2pt_context(), buf, static_cast<std::size_t>(count), *datatype,
         sync);

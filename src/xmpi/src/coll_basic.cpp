@@ -117,6 +117,7 @@ Request* coll_ibarrier(Comm& comm) {
     auto& sync = comm.ibarrier_sync();
     int const me = comm.rank();
     std::uint64_t my_round;
+    bool completed = false;
     {
         std::lock_guard lock(sync.mutex);
         my_round = sync.next_round_of_rank[static_cast<std::size_t>(me)]++;
@@ -125,8 +126,11 @@ Request* coll_ibarrier(Comm& comm) {
         if (arrived == comm.size()) {
             sync.arrivals.erase(my_round);
             sync.completed_rounds = my_round + 1;
-            sync.cv.notify_all();
+            completed = true;
         }
+    }
+    if (completed) {
+        comm.notify_members();
     }
     // Model the latency of a dissemination barrier: the shared-counter
     // implementation is otherwise free, which would make NBX look too good.
@@ -140,7 +144,7 @@ Request* coll_ibarrier(Comm& comm) {
             comm.world().network_model().charge(0);
         }
     }
-    return new IbarrierRequest(&comm, my_round);
+    return new IbarrierRequest(&comm, my_round, comm.world().waiter(comm.world_rank_of(me)));
 }
 
 int coll_bcast_on(

@@ -86,16 +86,20 @@ Comm::Comm(World* world, std::vector<int> members)
         nbc_sequence_[i].store(0, std::memory_order_relaxed);
     }
     ibarrier_.next_round_of_rank.assign(members_.size(), 0);
-    world_->register_comm(this);
 }
 
 Comm::~Comm() {
-    world_->unregister_comm(this);
     // A rendezvous round whose last pending consumers all died leaves its
     // result parked in the sync structure; dispose of it with the round's
     // retire callback (no threads can race us in the destructor).
     if (ft_.result != nullptr && ft_.retire) {
         ft_.retire(ft_.result);
+    }
+}
+
+void Comm::notify_members() const {
+    for (int world_rank: members_) {
+        world_->waiter(world_rank).notify();
     }
 }
 

@@ -3,7 +3,6 @@
 #include "xmpi/elastic.hpp"
 
 #include <algorithm>
-#include <chrono>
 
 #include "coll.hpp"
 #include "xmpi/chaos.hpp"
@@ -15,11 +14,6 @@ namespace xmpi {
 namespace {
 
 using detail::MemberState;
-
-/// Bounded elastic wait: World::wake_all notifies the elastic cv *without*
-/// the elastic mutex (it may run while that mutex is held), so a lost wake
-/// is possible and costs at most one of these timeouts, never a hang.
-constexpr auto k_elastic_wait = std::chrono::milliseconds(2);
 
 char const* cause_literal(bool grow, bool shrink, bool failure) {
     // Spans reference transition causes as static literals (they never own
@@ -100,6 +94,19 @@ bool World::round_complete_locked() const {
         }
     }
     return true;
+}
+
+void World::arrive_locked(int slot) {
+    auto& es = *elastic_;
+    if (std::find(es.arrived.begin(), es.arrived.end(), slot) != es.arrived.end()) {
+        return;
+    }
+    es.arrived.push_back(slot);
+    wake_all();
+    // Chaos window: die *after* arriving at the transition round but
+    // *before* it produces the next epoch — the remaining participants must
+    // fold this failure into the same round.
+    chaos::hit_hook(*this, slot, chaos::Hook::ft_elastic_sync);
 }
 
 void World::request_transition_locked() {
@@ -185,7 +192,7 @@ void World::perform_transition_locked(int producer) {
         profile::record_span(span);
     }
     es.arrived.clear();
-    es.cv.notify_all();
+    wake_all();
 }
 
 // ---------------------------------------------------------------------------
@@ -203,30 +210,23 @@ Comm* World::epoch_sync() {
     if (es.members[static_cast<std::size_t>(me)] != MemberState::active) {
         throw UsageError("epoch_sync: calling rank is not an active member of this world");
     }
-    while (true) {
+    detail::wait_locked(waiter(me), lock, [&] {
         if (!needs_transition_locked()) {
             // Nothing to do (or someone already performed the transition):
             // hand out the current epoch. Clears the pending hint a folded
             // failure may have left behind.
             transition_pending_.store(false, std::memory_order_release);
-            es.current->retain();
-            return es.current;
+            return true;
         }
-        if (std::find(es.arrived.begin(), es.arrived.end(), me) == es.arrived.end()) {
-            es.arrived.push_back(me);
-            es.cv.notify_all();
-            // Chaos window: die *after* arriving at the transition round but
-            // *before* it produces the next epoch — the remaining
-            // participants must fold this failure into the same round.
-            chaos::hit_hook(*this, me, chaos::Hook::ft_elastic_sync);
-        }
+        arrive_locked(me);
         if (round_complete_locked()) {
             perform_transition_locked(me);
-            es.current->retain();
-            return es.current;
+            return true;
         }
-        es.cv.wait_for(lock, k_elastic_wait);
-    }
+        return false;
+    });
+    es.current->retain();
+    return es.current;
 }
 
 int World::open_session() {
@@ -256,15 +256,15 @@ int World::open_session() {
     // joiner for the transition to exclude.
     count_elastic_call(*this, slot, profile::Call::session_open);
     std::unique_lock lock(es.mutex);
-    while (es.members[static_cast<std::size_t>(slot)] == MemberState::joining) {
+    detail::wait_locked(waiter(slot), lock, [&] {
         // Normally a member performs the transition; if no live member is
         // left to do so (all failed or leaving), the joiner completes it.
-        if (round_complete_locked()) {
+        if (es.members[static_cast<std::size_t>(slot)] == MemberState::joining
+            && round_complete_locked()) {
             perform_transition_locked(slot);
-        } else {
-            es.cv.wait_for(lock, k_elastic_wait);
         }
-    }
+        return es.members[static_cast<std::size_t>(slot)] != MemberState::joining;
+    });
     return slot;
 }
 
@@ -288,20 +288,18 @@ void World::leave_session() {
     count_elastic_call(*this, me, profile::Call::session_leave);
     {
         std::unique_lock lock(es.mutex);
-        while (es.members[static_cast<std::size_t>(me)] == MemberState::leaving) {
-            if (std::find(es.arrived.begin(), es.arrived.end(), me) == es.arrived.end()) {
-                // Leavers participate in the round like members (they are
-                // required arrivals until the transition retires them).
-                es.arrived.push_back(me);
-                es.cv.notify_all();
-                chaos::hit_hook(*this, me, chaos::Hook::ft_elastic_sync);
+        detail::wait_locked(waiter(me), lock, [&] {
+            if (es.members[static_cast<std::size_t>(me)] != MemberState::leaving) {
+                return true;
             }
+            // Leavers participate in the round like members (they are
+            // required arrivals until the transition retires them).
+            arrive_locked(me);
             if (round_complete_locked()) {
                 perform_transition_locked(me);
-            } else {
-                es.cv.wait_for(lock, k_elastic_wait);
             }
-        }
+            return es.members[static_cast<std::size_t>(me)] != MemberState::leaving;
+        });
     }
     detach_current_thread();
 }

@@ -9,6 +9,15 @@
 
 namespace xmpi::detail {
 
+Mailbox::Mailbox(
+    World* world, PayloadPool* pool, profile::RankCounters* counters, int rank, int world_size)
+    : world_(world),
+      pool_(pool),
+      counters_(counters),
+      rank_(rank),
+      world_size_(world_size),
+      waiter_(world->waiter(rank)) {}
+
 void Mailbox::complete_ticket_locked(
     RecvTicket& ticket, Envelope const& env, std::byte const* data, std::size_t size,
     SyncHandle* sync) {
@@ -48,8 +57,8 @@ void Mailbox::complete_rendezvous_locked(
         counters_->rendezvous_transfers.fetch_add(1, std::memory_order_relaxed);
         counters_->bytes_zero_copied.fetch_add(rdv.size, std::memory_order_relaxed);
         rdv.phase.store(RendezvousState::completed, std::memory_order_release);
-        if (rdv.sender_box != nullptr) {
-            rdv.sender_box->wake();
+        if (rdv.sender != nullptr) {
+            rdv.sender->notify();
         }
         return;
     }
@@ -233,9 +242,9 @@ bool Mailbox::drain_one_ring_locked(PeerRing& ring) {
 }
 
 bool Mailbox::drain_rings_locked() {
-    // Snapshot before the sweep: a push racing past the sweep leaves
-    // arrivals_ > drained_, so the next entry point sweeps again.
-    std::uint64_t const target = arrivals_.load(std::memory_order_acquire);
+    // Snapshot before the sweep: a push racing past the sweep leaves the
+    // epoch ahead of drained_, so the next entry point sweeps again.
+    std::uint64_t const target = waiter_.epoch();
     if (target == drained_.load(std::memory_order_relaxed)) {
         return false;
     }
@@ -258,52 +267,35 @@ void Mailbox::deliver_overflow(PeerRing& ring, Message message) {
         drain_one_ring_locked(ring);
         deliver_locked(std::move(message));
     }
-    cv_.notify_all();
+    waiter_.notify();
 }
 
 bool Mailbox::poll() {
-    if (arrivals_.load(std::memory_order_acquire)
-        == drained_.load(std::memory_order_acquire)) {
+    if (waiter_.epoch() == drained_.load(std::memory_order_acquire)) {
         return false;
     }
-    std::unique_lock lock(mutex_, std::try_to_lock);
-    if (!lock.owns_lock()) {
-        return false; // someone else is draining right now
-    }
-    bool const progressed = drain_rings_locked();
-    lock.unlock();
-    if (progressed) {
-        cv_.notify_all();
-    }
-    return progressed;
+    std::lock_guard lock(mutex_);
+    return drain_rings_locked();
 }
 
 bool Mailbox::post_or_match(std::shared_ptr<RecvTicket> const& ticket) {
-    bool progressed = false;
-    bool matched = false;
-    {
-        std::lock_guard lock(mutex_);
-        // Drain *before* matching: ring entries are older than this receive
-        // and must reach the unexpected queue first so the earliest matching
-        // message wins (non-overtaking).
-        progressed = drain_rings_locked();
-        Message message;
-        if (take_matching_unexpected_locked(ticket->pattern, message)) {
-            complete_from_message_locked(*ticket, std::move(message));
-            matched = true;
-        } else {
-            ticket->seq = next_ticket_seq_++;
-            if (ticket->pattern.is_exact()) {
-                posted_exact_[ticket->pattern].push_back(ticket);
-            } else {
-                posted_wild_.push_back(ticket);
-            }
-        }
+    std::lock_guard lock(mutex_);
+    // Drain *before* matching: ring entries are older than this receive and
+    // must reach the unexpected queue first so the earliest matching message
+    // wins (non-overtaking).
+    drain_rings_locked();
+    Message message;
+    if (take_matching_unexpected_locked(ticket->pattern, message)) {
+        complete_from_message_locked(*ticket, std::move(message));
+        return true;
     }
-    if (progressed) {
-        cv_.notify_all();
+    ticket->seq = next_ticket_seq_++;
+    if (ticket->pattern.is_exact()) {
+        posted_exact_[ticket->pattern].push_back(ticket);
+    } else {
+        posted_wild_.push_back(ticket);
     }
-    return matched;
+    return false;
 }
 
 bool Mailbox::is_complete(std::shared_ptr<RecvTicket> const& ticket) {
@@ -315,20 +307,10 @@ bool Mailbox::is_complete(std::shared_ptr<RecvTicket> const& ticket) {
 }
 
 bool Mailbox::cancel(std::shared_ptr<RecvTicket> const& ticket) {
-    bool progressed = false;
-    bool removed = false;
-    {
-        std::lock_guard lock(mutex_);
-        // Let a racing completion win before withdrawing the ticket.
-        progressed = drain_rings_locked();
-        if (!ticket->complete.load(std::memory_order_acquire)) {
-            removed = remove_posted_locked(ticket);
-        }
-    }
-    if (progressed) {
-        cv_.notify_all();
-    }
-    return removed;
+    std::lock_guard lock(mutex_);
+    // Let a racing completion win before withdrawing the ticket.
+    drain_rings_locked();
+    return !ticket->complete.load(std::memory_order_acquire) && remove_posted_locked(ticket);
 }
 
 bool Mailbox::find_unexpected_locked(Envelope const& pattern, Status& status) {
@@ -359,17 +341,9 @@ bool Mailbox::find_unexpected_locked(Envelope const& pattern, Status& status) {
 }
 
 bool Mailbox::probe(Envelope const& pattern, Status& status) {
-    bool progressed = false;
-    bool found = false;
-    {
-        std::lock_guard lock(mutex_);
-        progressed = drain_rings_locked();
-        found = find_unexpected_locked(pattern, status);
-    }
-    if (progressed) {
-        cv_.notify_all();
-    }
-    return found;
+    std::lock_guard lock(mutex_);
+    drain_rings_locked();
+    return find_unexpected_locked(pattern, status);
 }
 
 } // namespace xmpi::detail

@@ -8,9 +8,7 @@
 /// persistent request inactive again instead of consuming it.
 #include "persistent.hpp"
 
-#include <chrono>
 #include <functional>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -443,8 +441,11 @@ int PartitionedSendRequest::pready(int partition) {
     Request* request = progress::detail::submit_as("psend", comm_, ctx_, [=] {
         return transport_send(*comm, dest, tag, comm->pt2pt_context(), buf, total, *type);
     });
-    std::lock_guard lock(inner_mutex_);
-    inner_.reset(request);
+    {
+        std::lock_guard lock(inner_mutex_);
+        inner_.reset(request);
+    }
+    waiter_of(ctx_).notify();
     return XMPI_SUCCESS;
 }
 
@@ -478,26 +479,18 @@ bool PartitionedSendRequest::peek() {
 
 void PartitionedSendRequest::wait(Status& status) {
     // The inner request appears asynchronously (installed by whichever
-    // thread delivers the last pready), so poll for it before waiting.
-    for (;;) {
-        {
-            std::unique_lock lock(inner_mutex_);
-            if (!active_) {
-                status = inactive_status();
-                return;
-            }
-            if (inner_ != nullptr) {
-                auto inner = std::move(inner_);
-                lock.unlock();
-                inner->wait(status);
-                started_.store(false, std::memory_order_release);
-                active_ = false;
-                return;
-            }
-        }
-        progress::poll();
-        std::this_thread::sleep_for(std::chrono::microseconds(50));
+    // thread delivers the last pready, which then notifies the owner).
+    std::unique_lock lock(inner_mutex_);
+    wait_locked(waiter_of(ctx_), lock, [&] { return !active_ || inner_ != nullptr; });
+    if (!active_) {
+        status = inactive_status();
+        return;
     }
+    auto inner = std::move(inner_);
+    lock.unlock();
+    inner->wait(status);
+    started_.store(false, std::memory_order_release);
+    active_ = false;
 }
 
 PartitionedRecvRequest::PartitionedRecvRequest(

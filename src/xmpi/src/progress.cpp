@@ -24,9 +24,10 @@ namespace {
 
 /// @brief One resumable collective task. State transitions:
 /// queued -> running -> done, or queued -> {cancelled, done-with-error}
-/// (cancel / revocation / rank-death sweeps). `error` is written under the
-/// task mutex before the releasing state store, so a test() that observes a
-/// terminal state through the acquire load reads a settled error code.
+/// (cancel / revocation / rank-death sweeps). Exactly one thread finishes a
+/// task, and it writes `error` before the releasing state store, so a test()
+/// that observes a terminal state through the acquire load reads a settled
+/// error code.
 struct Task {
     enum State : int { queued, running, done, cancelled };
 
@@ -38,8 +39,6 @@ struct Task {
 
     std::atomic<int> state{queued};
     int error = XMPI_SUCCESS;
-    std::mutex mutex;
-    std::condition_variable cv;
 };
 
 using TaskPtr = std::shared_ptr<Task>;
@@ -48,14 +47,12 @@ bool is_terminal(int state) {
     return state == Task::done || state == Task::cancelled;
 }
 
-/// @brief Completes @c task (terminal state + error) and wakes its waiters.
+/// @brief Completes @c task (terminal state + error) and notifies the
+/// initiating rank, whose Waiter its waiters park on.
 void finish(Task& task, int error, int final_state) {
-    {
-        std::lock_guard lock(task.mutex);
-        task.error = error;
-        task.state.store(final_state, std::memory_order_release);
-    }
-    task.cv.notify_all();
+    task.error = error;
+    task.state.store(final_state, std::memory_order_release);
+    xmpi::detail::waiter_of(task.ctx).notify();
 }
 
 void bump_max(std::atomic<std::uint64_t>& slot, std::uint64_t value) {
@@ -408,7 +405,7 @@ Engine& engine() {
 }
 
 /// @brief Request handle backing an engine task. Completion polling is a
-/// single acquire load; wait() blocks on the per-task event and supplies
+/// single acquire load; wait() blocks on the initiator's Waiter and supplies
 /// caller-driven progress (see progress.hpp header).
 class EngineRequest final : public Request {
 public:
@@ -482,42 +479,36 @@ Request* Engine::submit(
 }
 
 void Engine::wait(TaskPtr const& task) {
-    // Fruitless 1ms ticks before the stall valve opens (see escalate()).
-    constexpr int kStallTicks = 10;
-    int stalled_ticks = 0;
-    for (;;) {
-        int const state = task->state.load(std::memory_order_acquire);
-        if (is_terminal(state)) {
-            return;
-        }
-        if (state == Task::queued && help_task(task, /*only_if_saturated=*/false)) {
+    // Stall valve: this long without progress while our task runs elsewhere
+    // opens escalate().
+    constexpr auto kStall = std::chrono::milliseconds(10);
+    auto const& caller = xmpi::detail::current_context();
+    auto& waiter = xmpi::detail::waiter_of(task->ctx);
+    auto const terminal = [&] { return is_terminal(task->state.load(std::memory_order_acquire)); };
+    while (!terminal()) {
+        if (task->state.load(std::memory_order_relaxed) == Task::queued
+            && help_task(task, /*only_if_saturated=*/false)) {
             continue;
         }
-        // Our task runs elsewhere: drain our own queued tasks while we
-        // block (their peers may be waiting on exactly these), then sleep a
-        // tick. The short timed wait re-checks for queued work that
-        // appeared (or failure sweeps) without a dedicated wake-up channel.
+        // Our task runs elsewhere: drain our own queued tasks first (their
+        // peers may be waiting on exactly these).
         if (help_own()) {
-            stalled_ticks = 0;
             continue;
         }
         // Keep the caller's transport rings draining while it blocks here:
         // a peer's collective task may be waiting on a rendezvous claim or a
         // batch that only this rank's mailbox can consume.
-        if (auto const& ctx = xmpi::detail::current_context(); ctx.world != nullptr) {
-            if (ctx.world->mailbox(ctx.world_rank).poll()) {
-                stalled_ticks = 0;
-                continue;
-            }
-        }
-        std::unique_lock lock(task->mutex);
-        task->cv.wait_for(lock, std::chrono::milliseconds(1), [&] {
-            return is_terminal(task->state.load(std::memory_order_relaxed));
-        });
-        lock.unlock();
-        if (++stalled_ticks >= kStallTicks) {
+        bool drained = false;
+        bool const done = waiter.wait_until(
+            [&] {
+                if (caller.world != nullptr && caller.world->mailbox(caller.world_rank).poll()) {
+                    drained = true;
+                }
+                return terminal();
+            },
+            xmpi::detail::Waiter::Clock::now() + kStall);
+        if (!done && !drained) {
             escalate();
-            stalled_ticks = 0;
         }
     }
 }

@@ -1,42 +1,48 @@
 #include "xmpi/request.hpp"
 
-#include <chrono>
-
 #include "xmpi/comm.hpp"
 #include "xmpi/error.hpp"
 #include "xmpi/mailbox.hpp"
 #include "xmpi/world.hpp"
 
 namespace xmpi::detail {
+namespace {
+
+/// True iff a revocation or a member failure aborts waits on @c comm.
+bool comm_aborted(Comm const* comm) {
+    return comm != nullptr && (comm->revoked() || comm->any_member_failed());
+}
+
+/// Completion status: success, or the error class of the abort.
+Status outcome(bool completed, Comm const* comm) {
+    if (completed) {
+        return Status{UNDEFINED, UNDEFINED, XMPI_SUCCESS, 0};
+    }
+    return Status{
+        UNDEFINED, UNDEFINED, comm->revoked() ? XMPI_ERR_REVOKED : XMPI_ERR_PROC_FAILED, 0};
+}
+
+bool round_completed(Comm& comm, std::uint64_t round) {
+    auto& sync = comm.ibarrier_sync();
+    std::lock_guard lock(sync.mutex);
+    return sync.completed_rounds > round;
+}
+
+} // namespace
 
 bool SyncRequest::test(Status& status) {
-    std::lock_guard lock(handle_->mutex);
-    if (handle_->matched) {
-        status = Status{UNDEFINED, UNDEFINED, XMPI_SUCCESS, 0};
-        return true;
+    bool const matched = handle_->matched.load(std::memory_order_acquire);
+    if (!matched && !comm_aborted(comm_)) {
+        return false;
     }
-    if (comm_ != nullptr && (comm_->revoked() || comm_->any_member_failed())) {
-        status = Status{
-            UNDEFINED, UNDEFINED, comm_->revoked() ? XMPI_ERR_REVOKED : XMPI_ERR_PROC_FAILED, 0};
-        return true;
-    }
-    return false;
+    status = outcome(matched, comm_);
+    return true;
 }
 
 void SyncRequest::wait(Status& status) {
-    std::unique_lock lock(handle_->mutex);
-    // Poll with a short timeout: failure/revocation wake-ups are broadcast to
-    // mailboxes and comm sync structures but not to individual send handles.
-    while (!(handle_->matched
-             || (comm_ != nullptr && (comm_->revoked() || comm_->any_member_failed())))) {
-        handle_->cv.wait_for(lock, std::chrono::milliseconds(1));
-    }
-    if (handle_->matched) {
-        status = Status{UNDEFINED, UNDEFINED, XMPI_SUCCESS, 0};
-    } else {
-        status = Status{
-            UNDEFINED, UNDEFINED, comm_->revoked() ? XMPI_ERR_REVOKED : XMPI_ERR_PROC_FAILED, 0};
-    }
+    handle_->sender->wait_until(
+        [&] { return handle_->matched.load(std::memory_order_acquire) || comm_aborted(comm_); });
+    status = outcome(handle_->matched.load(std::memory_order_acquire), comm_);
 }
 
 bool RecvRequest::test(Status& status) {
@@ -70,8 +76,7 @@ bool RecvRequest::check_failed(Status& status) {
         status = ticket_->status;
         return true;
     }
-    status = Status{
-        UNDEFINED, UNDEFINED, comm.revoked() ? XMPI_ERR_REVOKED : XMPI_ERR_PROC_FAILED, 0};
+    status = outcome(false, &comm);
     ticket_->status = status;
     ticket_->complete = true;
     return true;
@@ -92,9 +97,7 @@ void RecvRequest::wait(Status& status) {
         status = ticket_->status;
         return;
     }
-    Comm const& comm = *ticket_->comm;
-    status = Status{
-        UNDEFINED, UNDEFINED, comm.revoked() ? XMPI_ERR_REVOKED : XMPI_ERR_PROC_FAILED, 0};
+    status = outcome(false, ticket_->comm);
 }
 
 bool RecvRequest::cancel() {
@@ -102,32 +105,17 @@ bool RecvRequest::cancel() {
 }
 
 bool IbarrierRequest::test(Status& status) {
-    auto& sync = comm_->ibarrier_sync();
-    std::lock_guard lock(sync.mutex);
-    if (sync.completed_rounds > round_) {
-        status = Status{UNDEFINED, UNDEFINED, XMPI_SUCCESS, 0};
-        return true;
+    bool const completed = round_completed(*comm_, round_);
+    if (!completed && !comm_aborted(comm_)) {
+        return false;
     }
-    if (comm_->revoked() || comm_->any_member_failed()) {
-        status = Status{
-            UNDEFINED, UNDEFINED, comm_->revoked() ? XMPI_ERR_REVOKED : XMPI_ERR_PROC_FAILED, 0};
-        return true;
-    }
-    return false;
+    status = outcome(completed, comm_);
+    return true;
 }
 
 void IbarrierRequest::wait(Status& status) {
-    auto& sync = comm_->ibarrier_sync();
-    std::unique_lock lock(sync.mutex);
-    sync.cv.wait(lock, [&] {
-        return sync.completed_rounds > round_ || comm_->revoked() || comm_->any_member_failed();
-    });
-    if (sync.completed_rounds > round_) {
-        status = Status{UNDEFINED, UNDEFINED, XMPI_SUCCESS, 0};
-    } else {
-        status = Status{
-            UNDEFINED, UNDEFINED, comm_->revoked() ? XMPI_ERR_REVOKED : XMPI_ERR_PROC_FAILED, 0};
-    }
+    waiter_->wait_until([&] { return round_completed(*comm_, round_) || comm_aborted(comm_); });
+    status = outcome(round_completed(*comm_, round_), comm_);
 }
 
 } // namespace xmpi::detail

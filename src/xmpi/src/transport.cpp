@@ -1,7 +1,7 @@
 #include "transport.hpp"
 
+#include <chrono>
 #include <cstring>
-#include <thread>
 
 #include "xmpi/chaos.hpp"
 #include "xmpi/tuning.hpp"
@@ -89,7 +89,8 @@ int send_rendezvous(
     rdv->src_data = data;
     rdv->size = bytes;
     Mailbox& my_box = world.mailbox(src_world);
-    rdv->sender_box = &my_box;
+    Waiter& waiter = world.waiter(src_world);
+    rdv->sender = &waiter;
 
     RingEntry entry;
     entry.kind = RingEntry::Kind::rendezvous;
@@ -129,28 +130,23 @@ int send_rendezvous(
 
     chaos::hit_hook(world, src_world, chaos::Hook::ft_rendezvous_publish);
 
-    // Wait for the receiver's claim: spin briefly (same budget as receives),
-    // then park on our own mailbox — draining it while parked, so two ranks
-    // exchanging large messages (posted-receive-first, like XMPI_Sendrecv)
-    // both complete at full zero-copy speed instead of timing out.
-    double const deadline = wtime() + 1e-6 * static_cast<double>(
-                                tuning::transport().rendezvous_fallback_us);
-    for (int i = tuning::spin_budget(); i > 0; --i) {
-        if (rdv->phase.load(std::memory_order_acquire) != RendezvousState::published) {
-            break;
-        }
-        spin_pause();
-    }
-    // Yield rung: on an oversubscribed machine this hands the core to the
-    // receiver so its claim resolves in one scheduler pass instead of a
-    // futex sleep/wake per transfer.
-    for (int i = tuning::yield_budget(); i > 0; --i) {
-        if (rdv->phase.load(std::memory_order_acquire) != RendezvousState::published) {
-            break;
-        }
-        std::this_thread::yield();
-    }
+    // Wait for the receiver's claim, draining our own mailbox meanwhile: two
+    // ranks exchanging large messages (posted-receive-first, like
+    // XMPI_Sendrecv) must each claim the other's descriptor to complete at
+    // full zero-copy speed instead of falling back.
+    auto const deadline =
+        Waiter::Clock::now()
+        + std::chrono::microseconds(tuning::transport().rendezvous_fallback_us);
+    auto const unclaimed = [&] {
+        return rdv->phase.load(std::memory_order_acquire) == RendezvousState::published;
+    };
     while (true) {
+        bool const woke = waiter.wait_until(
+            [&](bool parked) {
+                my_box.poll();
+                return !unclaimed() || (parked && check_peer(comm, dest) != XMPI_SUCCESS);
+            },
+            deadline);
         std::uint32_t phase = rdv->phase.load(std::memory_order_acquire);
         if (phase == RendezvousState::claimed) {
             phase = rdv->await_leaving(RendezvousState::claimed);
@@ -162,32 +158,24 @@ int send_rendezvous(
             counters.bytes_zero_copied.fetch_add(bytes, std::memory_order_relaxed);
             return XMPI_SUCCESS;
         }
+        std::uint32_t expected = RendezvousState::published;
         if (int const err = check_peer(comm, dest); err != XMPI_SUCCESS) {
-            std::uint32_t expected = RendezvousState::published;
             if (rdv->phase.compare_exchange_strong(
                     expected, RendezvousState::abandoned, std::memory_order_acq_rel)) {
                 return err;
             }
-            continue; // a claim raced in: resolve it on the next iteration
+        } else if (!woke
+                   && rdv->phase.compare_exchange_strong(
+                       expected, RendezvousState::eagering, std::memory_order_acq_rel)) {
+            // No receiver showed up in time: restore plain eager semantics by
+            // parking a copy in the descriptor. (For synchronous-mode sends
+            // the caller still blocks on its SyncHandle until the receiver
+            // matches the descriptor.)
+            rdv->fallback.assign(data, data + bytes);
+            rdv->phase.store(RendezvousState::eagered, std::memory_order_release);
+            return XMPI_SUCCESS;
         }
-        if (wtime() >= deadline) {
-            std::uint32_t expected = RendezvousState::published;
-            if (rdv->phase.compare_exchange_strong(
-                    expected, RendezvousState::eagering, std::memory_order_acq_rel)) {
-                // No receiver showed up in time: restore plain eager
-                // semantics by parking a copy in the descriptor. (For
-                // synchronous-mode sends the caller still blocks on its
-                // SyncHandle until the receiver matches the descriptor.)
-                rdv->fallback.assign(data, data + bytes);
-                rdv->phase.store(RendezvousState::eagered, std::memory_order_release);
-                return XMPI_SUCCESS;
-            }
-            continue;
-        }
-        my_box.wait_signal(std::chrono::microseconds(100), [&] {
-            return rdv->phase.load(std::memory_order_acquire)
-                   != RendezvousState::published;
-        });
+        // A claim raced in: resolve it on the next iteration.
     }
 }
 

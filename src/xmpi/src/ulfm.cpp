@@ -34,7 +34,7 @@ void prune_dead(World const& world, FtSync& ft) {
 /// drops the round's own reference to the result), resets the agree
 /// accumulator for the next round, and wakes ranks waiting to start one.
 /// Must be called with ft.mutex held.
-void maybe_finish_round(FtSync& ft) {
+void maybe_finish_round(Comm const& comm, FtSync& ft) {
     if (ft.result == nullptr || !ft.pending_ranks.empty()) {
         return;
     }
@@ -44,7 +44,7 @@ void maybe_finish_round(FtSync& ft) {
     }
     ft.result = nullptr;
     ft.agree_accumulator = ~0;
-    ft.cv.notify_all();
+    comm.notify_members();
 }
 
 /// @brief Rendezvous among the surviving members: everyone contributes via
@@ -58,25 +58,26 @@ void* ft_rendezvous(Comm& comm, Contribute&& contribute, Produce&& produce, Cons
     auto& world = comm.world();
     int const me = current_world_rank();
     auto& ft = comm.ft_sync();
+    auto& waiter = world.waiter(me);
     std::unique_lock lock(ft.mutex);
     // Let a previous round drain before joining a new one. If its remaining
     // consumers all died, nobody is left to close it: prune and close it
     // here instead of waiting forever.
-    ft.cv.wait(lock, [&] {
+    wait_locked(waiter, lock, [&] {
         prune_dead(world, ft);
-        maybe_finish_round(ft);
+        maybe_finish_round(comm, ft);
         return ft.result == nullptr;
     });
     contribute(ft);
     ft.arrived_ranks.push_back(me);
-    ft.cv.notify_all();
+    comm.notify_members();
     // The mid-round failure window: contributed, result not yet consumed.
     // A chaos plan targeting Hook::ft_contributed kills the rank right here
     // (the throw unwinds through the unique_lock).
     chaos::hit_hook(world, me, chaos::Hook::ft_contributed);
-    // Failures wake this wait via World::wake_all(), so the survivor set is
+    // Failures notify every rank (World::wake_all), so the survivor set is
     // re-evaluated and dead contributors are discounted on every wake.
-    ft.cv.wait(lock, [&] {
+    wait_locked(waiter, lock, [&] {
         if (ft.result != nullptr) {
             return true;
         }
@@ -89,13 +90,13 @@ void* ft_rendezvous(Comm& comm, Contribute&& contribute, Produce&& produce, Cons
         ft.result = produce(ft);
         ft.pending_ranks = std::move(ft.arrived_ranks);
         ft.arrived_ranks.clear();
-        ft.cv.notify_all();
+        comm.notify_members();
     }
     void* const result = ft.result;
     consume(ft, result);
     std::erase(ft.pending_ranks, me);
     prune_dead(world, ft);
-    maybe_finish_round(ft);
+    maybe_finish_round(comm, ft);
     return result;
 }
 

@@ -34,7 +34,6 @@ Win::Win(Comm* comm)
       locks_(static_cast<std::size_t>(comm->size())),
       apply_mutex_(std::make_unique<std::mutex[]>(static_cast<std::size_t>(comm->size()))) {
     comm_->retain();
-    comm_->world().register_win(this);
 }
 
 Win::~Win() {
@@ -46,7 +45,6 @@ Win::~Win() {
             discard_pending(op);
         }
     }
-    comm_->world().unregister_win(this);
     comm_->release();
 }
 
@@ -96,13 +94,6 @@ int Win::check_free(int origin) {
         return XMPI_ERR_RMA_SYNC;
     }
     return XMPI_SUCCESS;
-}
-
-void Win::notify_waiters() {
-    // Empty critical section: a waiter between its predicate check and
-    // cv_.wait() must not miss the notification.
-    { std::lock_guard lock(mutex_); }
-    cv_.notify_all();
 }
 
 bool Win::holds_lock_locked(int origin, int target) const {
@@ -452,6 +443,8 @@ int Win::lock(int lock_type, int target) {
         return XMPI_ERR_RANK;
     }
     World& world = comm_->world();
+    int const origin_world = comm_->world_rank_of(origin);
+    detail::Mailbox& mailbox = world.mailbox(origin_world);
     bool blocked = false;
     double blocked_since = 0.0;
     {
@@ -460,32 +453,28 @@ int Win::lock(int lock_type, int target) {
             return XMPI_ERR_RMA_SYNC; // no double locking of the same target
         }
         auto& state = locks_[static_cast<std::size_t>(target)];
-        auto acquirable = [&] {
+        detail::wait_locked(world.waiter(origin_world), lock, [&] {
             prune_failed_holders_locked();
-            if (lock_type == LOCK_EXCLUSIVE) {
-                return state.exclusive_holder == -1 && state.shared_holders.empty();
-            }
-            return state.exclusive_holder == -1;
-        };
-        while (!acquirable()) {
-            if (comm_->revoked()) {
-                return XMPI_ERR_REVOKED;
-            }
-            if (target_failed(target)) {
-                return XMPI_ERR_PROC_FAILED;
+            bool const acquirable =
+                state.exclusive_holder == -1
+                && (lock_type == LOCK_SHARED || state.shared_holders.empty());
+            if (acquirable || comm_->revoked() || target_failed(target)) {
+                return true;
             }
             if (!blocked) {
                 blocked = true;
                 blocked_since = wtime();
+                ++blocked_lockers_;
                 counters_of(origin).rma_epoch_waits.fetch_add(1, std::memory_order_relaxed);
             }
-            // Timed wait + mailbox poll: while this origin blocks on the
-            // lock, its transport rings must keep draining (a peer may be
-            // waiting on a rendezvous claim or batch only this rank can
-            // consume). poll() only try-locks the mailbox, so no lock-order
-            // cycle with the window mutex is possible.
-            cv_.wait_for(lock, std::chrono::milliseconds(1));
-            world.mailbox(comm_->world_rank_of(origin)).poll();
+            // While this origin blocks, its transport rings must keep
+            // draining: a peer may wait on a rendezvous claim or batch only
+            // this rank can consume. (A drain never takes a window mutex.)
+            mailbox.poll();
+            return false;
+        });
+        if (blocked) {
+            --blocked_lockers_;
         }
         if (comm_->revoked()) {
             return XMPI_ERR_REVOKED;
@@ -525,6 +514,7 @@ int Win::unlock(int target) {
     // Drain while still holding the lock so the next holder (who acquires
     // mutex_ after our release below) observes every queued op.
     int const err = drain_pending(origin, target);
+    bool wake = false;
     {
         std::lock_guard lock(mutex_);
         auto& state = locks_[static_cast<std::size_t>(target)];
@@ -533,8 +523,11 @@ int Win::unlock(int target) {
         } else {
             std::erase(state.shared_holders, origin);
         }
+        wake = blocked_lockers_ > 0;
     }
-    cv_.notify_all();
+    if (wake) {
+        comm_->notify_members();
+    }
     return err;
 }
 

@@ -9,7 +9,6 @@
 #include "xmpi/chaos.hpp"
 #include "xmpi/elastic.hpp"
 #include "xmpi/progress.hpp"
-#include "xmpi/win.hpp"
 
 namespace xmpi {
 
@@ -25,6 +24,7 @@ World::World(int size, NetworkModel model, int capacity)
     // resized under concurrent readers, so an elastic world allocates them at
     // capacity up front; only rank slots [0, rank_slots_) ever exist.
     rings_ = std::make_unique<detail::RingRegistry>(capacity_, tuning::transport().ring_capacity);
+    waiters_ = std::make_unique<detail::Waiter[]>(static_cast<std::size_t>(capacity_));
     mailboxes_.resize(static_cast<std::size_t>(capacity_));
     counters_.resize(static_cast<std::size_t>(capacity_));
     for (int rank = 0; rank < size; ++rank) {
@@ -93,26 +93,6 @@ World::~World() {
     world_comm_->release();
 }
 
-void World::register_comm(Comm* comm) {
-    std::lock_guard lock(registered_comms_mutex_);
-    registered_comms_.push_back(comm);
-}
-
-void World::unregister_comm(Comm* comm) {
-    std::lock_guard lock(registered_comms_mutex_);
-    std::erase(registered_comms_, comm);
-}
-
-void World::register_win(Win* win) {
-    std::lock_guard lock(registered_comms_mutex_);
-    registered_wins_.push_back(win);
-}
-
-void World::unregister_win(Win* win) {
-    std::lock_guard lock(registered_comms_mutex_);
-    std::erase(registered_wins_, win);
-}
-
 void World::mark_failed(int world_rank) {
     bool expected = false;
     if (failed_flags_[static_cast<std::size_t>(world_rank)].compare_exchange_strong(
@@ -133,22 +113,7 @@ void World::mark_failed(int world_rank) {
 void World::wake_all() {
     int const slots = rank_slots();
     for (int rank = 0; rank < slots; ++rank) {
-        mailboxes_[static_cast<std::size_t>(rank)]->wake();
-    }
-    {
-        std::lock_guard lock(registered_comms_mutex_);
-        for (auto* comm: registered_comms_) {
-            comm->ibarrier_sync().cv.notify_all();
-            comm->ft_sync().cv.notify_all();
-        }
-        for (auto* win: registered_wins_) {
-            win->notify_waiters();
-        }
-    }
-    if (elastic_ != nullptr) {
-        // Deliberately without the elastic mutex (wake_all may run under it);
-        // the elastic waits are bounded, so a lost wake only costs a timeout.
-        elastic_->cv.notify_all();
+        waiter(rank).notify();
     }
 }
 
@@ -217,6 +182,11 @@ namespace detail {
 RankContext& current_context() {
     thread_local RankContext context;
     return context;
+}
+
+Waiter& waiter_of(RankContext const& ctx) {
+    static Waiter unattached;
+    return ctx.world == nullptr ? unattached : ctx.world->waiter(ctx.world_rank);
 }
 
 World& current_world() {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 
 #include "xmpi/xmpi.hpp"
 
@@ -232,6 +233,71 @@ TEST(Ulfm, RecoveryLoopReachesCompletion) {
             XMPI_Comm_free(&comm);
         }
     });
+}
+
+// Lost-wakeup regression. Every iteration, one rank (the victim) dies
+// through the chaos engine — or, on odd iterations, revokes the comm —
+// while its peers block in XMPI_Wait on an ibarrier the victim never joins.
+// A second rank then dies while the survivors block in XMPI_Comm_agree
+// waiting for its contribution. Neither wait has a timeout: a failure or
+// revocation that slipped between a waiter's predicate check and its sleep
+// would hang the test into its ctest TIMEOUT. The victims poll Iprobe a
+// varying number of times first, so the events land at varying points of
+// the peers' spin -> yield -> block ladder.
+TEST(Ulfm, LostWakeupStress) {
+    constexpr int kRanks = 4;
+    constexpr int kIterations = 200;
+    using xmpi::chaos::FaultPlan;
+    using xmpi::profile::Call;
+    (void)xmpi::chaos::take_fired_log();
+    for (int iteration = 0; iteration < kIterations; ++iteration) {
+        bool const revoke = iteration % 2 == 1;
+        int const victim = iteration % kRanks;
+        int const late = (victim + 1) % kRanks;
+        std::uint64_t const polls = 1 + static_cast<std::uint64_t>(iteration % 9) * 24;
+        FaultPlan plan(static_cast<std::uint64_t>(iteration));
+        if (!revoke) {
+            plan.kill_at_call(victim, Call::iprobe, polls);
+        }
+        plan.kill_at_call(late, Call::iprobe, polls);
+        xmpi::chaos::arm_next_world(plan);
+        std::atomic<int> agreed{0};
+        World::run_ranked(kRanks, [&](int rank) {
+            XMPI_Comm const comm = XMPI_COMM_WORLD;
+            auto const poll_until_killed = [&] {
+                for (;;) {
+                    int flag = 0;
+                    XMPI_Iprobe(XMPI_ANY_SOURCE, 0, comm, &flag, XMPI_STATUS_IGNORE);
+                }
+            };
+            if (rank == victim) {
+                if (!revoke) {
+                    poll_until_killed();
+                }
+                for (std::uint64_t i = 0; i < polls; ++i) {
+                    int flag = 0;
+                    XMPI_Iprobe(XMPI_ANY_SOURCE, 0, comm, &flag, XMPI_STATUS_IGNORE);
+                }
+                ASSERT_EQ(XMPI_Comm_revoke(comm), XMPI_SUCCESS);
+            } else {
+                XMPI_Request request = XMPI_REQUEST_NULL;
+                ASSERT_EQ(XMPI_Ibarrier(comm, &request), XMPI_SUCCESS);
+                int const err = XMPI_Wait(&request, XMPI_STATUS_IGNORE);
+                EXPECT_EQ(err, revoke ? XMPI_ERR_REVOKED : XMPI_ERR_PROC_FAILED)
+                    << "iteration " << iteration << " rank " << rank;
+            }
+            if (rank == late) {
+                poll_until_killed();
+            }
+            int flag = 1;
+            ASSERT_EQ(XMPI_Comm_agree(comm, &flag), XMPI_SUCCESS);
+            EXPECT_EQ(flag, 1);
+            agreed.fetch_add(1);
+        });
+        EXPECT_EQ(agreed.load(), revoke ? kRanks - 1 : kRanks - 2) << "iteration " << iteration;
+        EXPECT_EQ(xmpi::chaos::take_fired_log().size(), revoke ? 1u : 2u)
+            << "iteration " << iteration;
+    }
 }
 
 } // namespace
