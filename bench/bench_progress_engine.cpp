@@ -61,10 +61,8 @@ struct LevelResult {
     double baseline_usec_p50 = 0.0;
     long engine_peak_threads = 0;
     long baseline_peak_threads = 0;
-    std::uint64_t engine_tasks = 0;
-    std::uint64_t inline_fallbacks = 0;
-    std::uint64_t queue_depth_max = 0;
-    std::uint64_t caller_steals = 0;
+    xmpi::profile::Snapshot counters; ///< every rank's counters, summed
+    std::uint64_t queue_depth_max = 0; ///< max over ranks, not the sum
 
     [[nodiscard]] double thread_reduction() const {
         return engine_peak_threads == 0
@@ -120,11 +118,9 @@ void run_engine(int concurrency, int warmup, int reps, LevelResult& out) {
         if (rank == 0) {
             for (int r = 0; r < kWorldSize; ++r) {
                 auto const snapshot = xmpi::profile::snapshot_of(r);
-                out.engine_tasks += snapshot.engine_tasks;
-                out.inline_fallbacks += snapshot.engine_inline_fallbacks;
+                out.counters += snapshot;
                 out.queue_depth_max =
                     std::max(out.queue_depth_max, snapshot.engine_queue_depth_max);
-                out.caller_steals += snapshot.engine_caller_steals;
             }
         }
         for (auto& comm: comms) {
@@ -227,10 +223,10 @@ std::string to_json(LevelResult const& r) {
         "\"queue_depth_max\": %llu, \"caller_steals\": %llu}",
         r.concurrency, r.reps, r.engine_usec_p50, r.baseline_usec_p50, r.engine_peak_threads,
         r.baseline_peak_threads, r.thread_reduction(),
-        static_cast<unsigned long long>(r.engine_tasks),
-        static_cast<unsigned long long>(r.inline_fallbacks),
+        static_cast<unsigned long long>(r.counters.engine_tasks),
+        static_cast<unsigned long long>(r.counters.engine_inline_fallbacks),
         static_cast<unsigned long long>(r.queue_depth_max),
-        static_cast<unsigned long long>(r.caller_steals));
+        static_cast<unsigned long long>(r.counters.engine_caller_steals));
     return buffer;
 }
 

@@ -38,28 +38,22 @@ struct Result {
     int rounds = 0;
     double usec_per_msg = 0.0;
     double mb_per_s = 0.0;
-    std::uint64_t messages = 0;
-    std::uint64_t fastpath_sends = 0;
-    std::uint64_t bytes_zero_copied = 0;
-    std::uint64_t pool_hits = 0;
-    std::uint64_t pool_misses = 0;
-    std::uint64_t ring_enqueues = 0;
-    std::uint64_t coalesced_sends = 0;
-    std::uint64_t ring_full_fallbacks = 0;
-    std::uint64_t rendezvous_transfers = 0;
+    xmpi::profile::Snapshot counters; ///< both ranks' counters, summed
 
     [[nodiscard]] double allocs_per_send() const {
+        std::uint64_t const messages = counters.messages_sent;
         return messages == 0
                    ? 0.0
-                   : static_cast<double>(pool_misses) / static_cast<double>(messages);
+                   : static_cast<double>(counters.pool_misses) / static_cast<double>(messages);
     }
     /// Every send either appended to an open batch, published a ring slot,
     /// or took the counted locked bypass when the ring was full — nothing
     /// bypasses the accounting. The fastpath form holds for the sizes this
     /// bench sends (see the file header).
     [[nodiscard]] bool paths_consistent() const {
-        return coalesced_sends + ring_enqueues + ring_full_fallbacks == messages
-               && fastpath_sends + ring_full_fallbacks == messages;
+        auto const& c = counters;
+        return c.coalesced_sends + c.ring_enqueues + c.ring_full_fallbacks == c.messages_sent
+               && c.fastpath_sends + c.ring_full_fallbacks == c.messages_sent;
     }
 };
 
@@ -102,23 +96,12 @@ Result run_pingpong(std::size_t bytes, int warmup, int rounds) {
             // Rank 1's last send has been received above, so both ranks'
             // p2p counters are final (they are only advanced by the
             // sending rank before delivery).
-            auto const mine = xmpi::profile::my_snapshot();
-            auto const theirs = xmpi::profile::snapshot_of(1);
+            result.counters = xmpi::profile::my_snapshot();
+            result.counters += xmpi::profile::snapshot_of(1);
             result.usec_per_msg = elapsed / (2.0 * rounds) * 1e6;
             result.mb_per_s = elapsed == 0.0
                                   ? 0.0
                                   : static_cast<double>(bytes) * 2.0 * rounds / elapsed / 1e6;
-            result.messages = mine.messages_sent + theirs.messages_sent;
-            result.fastpath_sends = mine.fastpath_sends + theirs.fastpath_sends;
-            result.bytes_zero_copied = mine.bytes_zero_copied + theirs.bytes_zero_copied;
-            result.pool_hits = mine.pool_hits + theirs.pool_hits;
-            result.pool_misses = mine.pool_misses + theirs.pool_misses;
-            result.ring_enqueues = mine.ring_enqueues + theirs.ring_enqueues;
-            result.coalesced_sends = mine.coalesced_sends + theirs.coalesced_sends;
-            result.ring_full_fallbacks =
-                mine.ring_full_fallbacks + theirs.ring_full_fallbacks;
-            result.rendezvous_transfers =
-                mine.rendezvous_transfers + theirs.rendezvous_transfers;
         }
     });
     return result;
@@ -138,9 +121,7 @@ struct RateResult {
     int messages_per_pair = 0;
     double msgs_per_sec = 0.0;
     double usec_per_msg = 0.0;
-    std::uint64_t ring_enqueues = 0;
-    std::uint64_t coalesced_sends = 0;
-    std::uint64_t ring_full_fallbacks = 0;
+    xmpi::profile::Snapshot counters; ///< every rank's counters, summed
 };
 
 RateResult run_message_rate(int pairs, std::size_t bytes, int messages_per_pair, int warmup) {
@@ -184,10 +165,7 @@ RateResult run_message_rate(int pairs, std::size_t bytes, int messages_per_pair,
             // All pairs' messages are received once the barrier completes,
             // so every rank's send-side ring counters are final.
             for (int r = 0; r < 2 * pairs; ++r) {
-                auto const snapshot = xmpi::profile::snapshot_of(r);
-                result.ring_enqueues += snapshot.ring_enqueues;
-                result.coalesced_sends += snapshot.coalesced_sends;
-                result.ring_full_fallbacks += snapshot.ring_full_fallbacks;
+                result.counters += xmpi::profile::snapshot_of(r);
             }
         }
     });
@@ -210,15 +188,15 @@ std::string to_json(Result const& result) {
         "\"ring_full_fallbacks\": %llu, \"rendezvous_transfers\": %llu, "
         "\"allocs_per_send\": %.6f, \"paths_consistent\": %s}",
         result.bytes, result.rounds, result.usec_per_msg, result.mb_per_s,
-        static_cast<unsigned long long>(result.messages),
-        static_cast<unsigned long long>(result.fastpath_sends),
-        static_cast<unsigned long long>(result.bytes_zero_copied),
-        static_cast<unsigned long long>(result.pool_hits),
-        static_cast<unsigned long long>(result.pool_misses),
-        static_cast<unsigned long long>(result.ring_enqueues),
-        static_cast<unsigned long long>(result.coalesced_sends),
-        static_cast<unsigned long long>(result.ring_full_fallbacks),
-        static_cast<unsigned long long>(result.rendezvous_transfers),
+        static_cast<unsigned long long>(result.counters.messages_sent),
+        static_cast<unsigned long long>(result.counters.fastpath_sends),
+        static_cast<unsigned long long>(result.counters.bytes_zero_copied),
+        static_cast<unsigned long long>(result.counters.pool_hits),
+        static_cast<unsigned long long>(result.counters.pool_misses),
+        static_cast<unsigned long long>(result.counters.ring_enqueues),
+        static_cast<unsigned long long>(result.counters.coalesced_sends),
+        static_cast<unsigned long long>(result.counters.ring_full_fallbacks),
+        static_cast<unsigned long long>(result.counters.rendezvous_transfers),
         result.allocs_per_send(), result.paths_consistent() ? "true" : "false");
     return buffer;
 }
@@ -280,9 +258,9 @@ int main(int argc, char** argv) {
         std::printf(
             "%10zu %10d %12.4f %12.1f %10llu %10llu %10llu %12.6f%s\n", result.bytes,
             result.rounds, result.usec_per_msg, result.mb_per_s,
-            static_cast<unsigned long long>(result.fastpath_sends),
-            static_cast<unsigned long long>(result.pool_hits),
-            static_cast<unsigned long long>(result.pool_misses), result.allocs_per_send(),
+            static_cast<unsigned long long>(result.counters.fastpath_sends),
+            static_cast<unsigned long long>(result.counters.pool_hits),
+            static_cast<unsigned long long>(result.counters.pool_misses), result.allocs_per_send(),
             result.paths_consistent() ? "" : "  [COUNTER MISMATCH]");
         results.push_back(result);
     }
@@ -326,9 +304,9 @@ int main(int argc, char** argv) {
         std::printf(
             "%8d %8zu %12d %14.0f %12.4f %10llu %10llu %10llu", result.pairs, result.bytes,
             result.messages_per_pair, result.msgs_per_sec, result.usec_per_msg,
-            static_cast<unsigned long long>(result.ring_enqueues),
-            static_cast<unsigned long long>(result.coalesced_sends),
-            static_cast<unsigned long long>(result.ring_full_fallbacks));
+            static_cast<unsigned long long>(result.counters.ring_enqueues),
+            static_cast<unsigned long long>(result.counters.coalesced_sends),
+            static_cast<unsigned long long>(result.counters.ring_full_fallbacks));
         if (baseline > 0.0) {
             std::printf("  (%.2fx vs mutex baseline)", result.msgs_per_sec / baseline);
         }
@@ -354,9 +332,9 @@ int main(int argc, char** argv) {
             "\"coalesced_sends\": %llu, \"ring_full_fallbacks\": %llu, "
             "\"baseline_mutex_msgs_per_sec\": %.0f, \"speedup_vs_mutex\": %.3f}",
             r.pairs, r.bytes, r.messages_per_pair, r.msgs_per_sec, r.usec_per_msg,
-            static_cast<unsigned long long>(r.ring_enqueues),
-            static_cast<unsigned long long>(r.coalesced_sends),
-            static_cast<unsigned long long>(r.ring_full_fallbacks),
+            static_cast<unsigned long long>(r.counters.ring_enqueues),
+            static_cast<unsigned long long>(r.counters.coalesced_sends),
+            static_cast<unsigned long long>(r.counters.ring_full_fallbacks),
             baseline, speedup);
         json += buffer;
         json += i + 1 < rate_results.size() ? ",\n" : "\n";
@@ -377,7 +355,7 @@ int main(int argc, char** argv) {
     }
     // Large configs must actually zero-copy through the rendezvous.
     for (auto const& result: results) {
-        if (result.bytes >= 32 * 1024 && result.rendezvous_transfers == 0) {
+        if (result.bytes >= 32 * 1024 && result.counters.rendezvous_transfers == 0) {
             std::fprintf(
                 stderr, "FAIL: no rendezvous transfers at %zu bytes\n", result.bytes);
             ok = false;
@@ -387,7 +365,7 @@ int main(int argc, char** argv) {
     for (auto const& result: rate_results) {
         // The ring path must be exercised: messages entered ring slots (or
         // coalesced into them), and never silently bypassed them all.
-        if (result.ring_enqueues + result.coalesced_sends == 0) {
+        if (result.counters.ring_enqueues + result.counters.coalesced_sends == 0) {
             std::fprintf(
                 stderr, "FAIL: ring path not exercised at %d pairs\n", result.pairs);
             ok = false;

@@ -87,6 +87,9 @@ public:
     }
 
     void write_bytes(void const* data, std::size_t bytes) {
+        if (bytes == 0) {
+            return; // an empty container's data() may be null
+        }
         auto const old_size = buffer_->size();
         buffer_->resize(old_size + bytes);
         std::memcpy(buffer_->data() + old_size, data, bytes);
@@ -120,6 +123,9 @@ public:
     void read_bytes(void* data, std::size_t bytes) {
         if (position_ + bytes > data_.size()) {
             throw SerializationError("binary archive exhausted");
+        }
+        if (bytes == 0) {
+            return; // an empty container's data() may be null
         }
         std::memcpy(data, data_.data() + position_, bytes);
         position_ += bytes;

@@ -110,7 +110,9 @@ public:
         if (position_ + bytes + 1 > data_.size()) {
             throw SerializationError("text archive exhausted");
         }
-        std::memcpy(data, data_.data() + position_, bytes);
+        if (bytes != 0) { // an empty container's data() may be null
+            std::memcpy(data, data_.data() + position_, bytes);
+        }
         position_ += bytes + 1; // consume the trailing separator
     }
     /// @}

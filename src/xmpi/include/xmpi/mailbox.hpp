@@ -94,10 +94,11 @@ public:
     void notify_push() { waiter_.notify(); }
 
     /// @brief Ring-full fallback: drains @c ring in order under the mailbox
-    /// mutex, then delivers @c message directly. Preserves the sender's
+    /// mutex, then dispatches @c entry (the one that did not fit; for a batch,
+    /// @c batch_bytes of records) directly. Preserves the sender's
     /// non-overtaking order because every older entry of that ring enters
     /// the matching layer first.
-    void deliver_overflow(PeerRing& ring, Message message);
+    void deliver_overflow(PeerRing& ring, RingEntry&& entry, std::size_t batch_bytes);
 
     /// @brief Drains the incoming rings if anything arrived since the last
     /// sweep (waiting senders and the progress engine use it so rendezvous

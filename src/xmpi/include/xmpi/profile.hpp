@@ -12,6 +12,7 @@
 
 #include <array>
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -92,7 +93,14 @@ inline constexpr std::size_t num_calls = static_cast<std::size_t>(Call::count_);
 /// and gcc warns on it).
 inline constexpr std::size_t kCounterCacheLine = 64;
 
-/// @brief Counters of one rank. Atomics allow cross-thread snapshots.
+/// @brief The counter table: every per-rank counter, declared once.
+///
+/// Each entry is `X(head, name, doc)`. `head` is `alignas(kCounterCacheLine)`
+/// on the first counter of a cache-line group and empty otherwise; `doc` is
+/// the counter's one-line description. RankCounters, Snapshot, reset(), the
+/// snapshot copy and Snapshot::operator+= are all expanded from this table,
+/// so a new counter is one line here (plus its entry in docs/API.md, which CI
+/// checks).
 ///
 /// The hot transport counters are grouped by writer and each group is
 /// aligned to its own cache line: a rank's counters are bumped per message
@@ -100,125 +108,71 @@ inline constexpr std::size_t kCounterCacheLine = 64;
 /// without the padding the sender-side group (bumped on every publish) and
 /// the consumer-side group (bumped on every drain) would false-share one
 /// line and the ring fast path would ping-pong it between cores.
+#define XMPI_PROFILE_COUNTERS(X)                                                            \
+    /* Sender-side hot counters (bumped on every send/publish) */                           \
+    X(alignas(kCounterCacheLine), messages_sent, "messages injected by this rank")          \
+    X(, bytes_sent, "payload bytes injected by this rank")                                  \
+    X(, fastpath_sends, "contiguous sends on the ring fast path")                           \
+    X(, ring_enqueues, "ring slots published")                                              \
+    X(, coalesced_sends, "small sends appended to an open batch")                           \
+    X(, ring_full_fallbacks, "locked bypass deliveries (ring full)")                        \
+    X(, pool_hits, "payload buffers reused from the pool")                                  \
+    X(, pool_misses, "payload buffers heap-allocated")                                      \
+    X(, reserved_payload_reuses, "persistent-send slot buffers recycled")                   \
+    /* Consumer-side hot counters (bumped when this rank drains/claims) */                  \
+    X(alignas(kCounterCacheLine), rendezvous_transfers, "descriptors claimed zero-copy")    \
+    X(, bytes_zero_copied, "payload bytes moved without staging (both sides)")              \
+    /* Progress-engine counters (see progress.hpp) */                                       \
+    X(alignas(kCounterCacheLine), engine_tasks, "tasks enqueued on the engine")             \
+    X(, engine_inline_fallbacks, "full queue: ran inline at initiation")                    \
+    X(, engine_queue_depth_max, "deepest queue observed at enqueue")                        \
+    X(, engine_caller_steals, "tasks run by waiting/polling callers")                       \
+    X(, engine_incomplete_destructions, "requests freed before completion")                 \
+    X(, engine_stall_escalations, "temporary workers grown by the stall valve")             \
+    /* One-sided (RMA) counters (see win.hpp) */                                            \
+    X(, rma_puts, "puts initiated (excl. PROC_NULL no-ops)")                                \
+    X(, rma_gets, "gets initiated (excl. PROC_NULL no-ops)")                                \
+    X(, rma_accumulates, "accumulates applied")                                             \
+    X(, rma_atomics, "fetch_and_op + compare_and_swap applied")                             \
+    X(, rma_bytes_zero_copied, "RMA bytes moved without staging")                           \
+    X(, rma_epoch_waits, "fences + blocking lock acquisitions")                             \
+    /* Scheduler counters (see apps/kasched; bumped by the app layer) */                    \
+    X(, sched_steals_attempted, "remote steal probes issued")                               \
+    X(, sched_steals_succeeded, "probes that claimed a task")                               \
+    X(, sched_tasks_executed, "tasks this rank ran to completion")                          \
+    X(, sched_requeue_after_failure, "tasks re-queued off a dead owner")                    \
+    /* Elastic-world counters (see elastic.hpp) */                                          \
+    X(, stale_epoch_drops, "messages dropped for a superseded epoch")                       \
+    X(, epoch_transitions, "membership transitions this rank produced")
+
+/// @brief Counters of one rank. Atomics allow cross-thread snapshots.
 struct RankCounters {
     std::array<std::atomic<std::uint64_t>, num_calls> calls{};
-    /// @name Sender-side hot counters (bumped on every send/publish)
-    /// @{
-    alignas(kCounterCacheLine) std::atomic<std::uint64_t> messages_sent{0};
-    std::atomic<std::uint64_t> bytes_sent{0};
-    std::atomic<std::uint64_t> fastpath_sends{0};  ///< contiguous sends on the ring fast path
-    std::atomic<std::uint64_t> ring_enqueues{0};   ///< ring slots published
-    std::atomic<std::uint64_t> coalesced_sends{0}; ///< small sends appended to an open batch
-    std::atomic<std::uint64_t> ring_full_fallbacks{0}; ///< locked bypass deliveries (ring full)
-    std::atomic<std::uint64_t> pool_hits{0};           ///< payload buffers reused from the pool
-    std::atomic<std::uint64_t> pool_misses{0};         ///< payload buffers heap-allocated
-    std::atomic<std::uint64_t> reserved_payload_reuses{0}; ///< persistent-send slot buffers recycled
-    /// @}
-    /// @name Consumer-side hot counters (bumped when this rank drains/claims)
-    /// @{
-    alignas(kCounterCacheLine) std::atomic<std::uint64_t> rendezvous_transfers{0}; ///< descriptors claimed zero-copy
-    std::atomic<std::uint64_t> bytes_zero_copied{0}; ///< payload bytes moved without staging (both sides)
-    /// @}
-    /// @name Progress-engine counters (see progress.hpp)
-    /// @{
-    alignas(kCounterCacheLine)
-    std::atomic<std::uint64_t> engine_tasks{0};            ///< tasks enqueued on the engine
-    std::atomic<std::uint64_t> engine_inline_fallbacks{0}; ///< full queue: ran inline at initiation
-    std::atomic<std::uint64_t> engine_queue_depth_max{0};  ///< deepest queue observed at enqueue
-    std::atomic<std::uint64_t> engine_caller_steals{0};    ///< tasks run by waiting/polling callers
-    std::atomic<std::uint64_t> engine_incomplete_destructions{0}; ///< requests freed before completion
-    std::atomic<std::uint64_t> engine_stall_escalations{0}; ///< temporary workers grown by the stall valve
-    /// @}
-    /// @name One-sided (RMA) counters (see win.hpp)
-    /// @{
-    std::atomic<std::uint64_t> rma_puts{0};         ///< puts initiated (excl. PROC_NULL no-ops)
-    std::atomic<std::uint64_t> rma_gets{0};         ///< gets initiated (excl. PROC_NULL no-ops)
-    std::atomic<std::uint64_t> rma_accumulates{0};  ///< accumulates applied
-    std::atomic<std::uint64_t> rma_atomics{0};      ///< fetch_and_op + compare_and_swap applied
-    std::atomic<std::uint64_t> rma_bytes_zero_copied{0}; ///< RMA bytes moved without staging
-    std::atomic<std::uint64_t> rma_epoch_waits{0};  ///< fences + blocking lock acquisitions
-    /// @}
-    /// @name Scheduler counters (see apps/kasched; bumped by the app layer)
-    /// @{
-    std::atomic<std::uint64_t> sched_steals_attempted{0}; ///< remote steal probes issued
-    std::atomic<std::uint64_t> sched_steals_succeeded{0}; ///< probes that claimed a task
-    std::atomic<std::uint64_t> sched_tasks_executed{0};   ///< tasks this rank ran to completion
-    std::atomic<std::uint64_t> sched_requeue_after_failure{0}; ///< tasks re-queued off a dead owner
-    /// @}
-    /// @name Elastic-world counters (see elastic.hpp)
-    /// @{
-    std::atomic<std::uint64_t> stale_epoch_drops{0}; ///< messages dropped for a superseded epoch
-    std::atomic<std::uint64_t> epoch_transitions{0}; ///< membership transitions this rank produced
-    /// @}
+#define XMPI_PROFILE_FIELD(head, name, doc) head std::atomic<std::uint64_t> name{0};
+    XMPI_PROFILE_COUNTERS(XMPI_PROFILE_FIELD)
+#undef XMPI_PROFILE_FIELD
 
     void reset() {
         for (auto& counter: calls) {
             counter.store(0, std::memory_order_relaxed);
         }
-        messages_sent.store(0, std::memory_order_relaxed);
-        bytes_sent.store(0, std::memory_order_relaxed);
-        fastpath_sends.store(0, std::memory_order_relaxed);
-        ring_enqueues.store(0, std::memory_order_relaxed);
-        coalesced_sends.store(0, std::memory_order_relaxed);
-        ring_full_fallbacks.store(0, std::memory_order_relaxed);
-        rendezvous_transfers.store(0, std::memory_order_relaxed);
-        bytes_zero_copied.store(0, std::memory_order_relaxed);
-        pool_hits.store(0, std::memory_order_relaxed);
-        pool_misses.store(0, std::memory_order_relaxed);
-        reserved_payload_reuses.store(0, std::memory_order_relaxed);
-        engine_tasks.store(0, std::memory_order_relaxed);
-        engine_inline_fallbacks.store(0, std::memory_order_relaxed);
-        engine_queue_depth_max.store(0, std::memory_order_relaxed);
-        engine_caller_steals.store(0, std::memory_order_relaxed);
-        engine_incomplete_destructions.store(0, std::memory_order_relaxed);
-        engine_stall_escalations.store(0, std::memory_order_relaxed);
-        rma_puts.store(0, std::memory_order_relaxed);
-        rma_gets.store(0, std::memory_order_relaxed);
-        rma_accumulates.store(0, std::memory_order_relaxed);
-        rma_atomics.store(0, std::memory_order_relaxed);
-        rma_bytes_zero_copied.store(0, std::memory_order_relaxed);
-        rma_epoch_waits.store(0, std::memory_order_relaxed);
-        sched_steals_attempted.store(0, std::memory_order_relaxed);
-        sched_steals_succeeded.store(0, std::memory_order_relaxed);
-        sched_tasks_executed.store(0, std::memory_order_relaxed);
-        sched_requeue_after_failure.store(0, std::memory_order_relaxed);
-        stale_epoch_drops.store(0, std::memory_order_relaxed);
-        epoch_transitions.store(0, std::memory_order_relaxed);
+#define XMPI_PROFILE_RESET(head, name, doc) name.store(0, std::memory_order_relaxed);
+        XMPI_PROFILE_COUNTERS(XMPI_PROFILE_RESET)
+#undef XMPI_PROFILE_RESET
     }
 };
+
+// Each group head must open its own cache line (see the table).
+static_assert(offsetof(RankCounters, messages_sent) % kCounterCacheLine == 0);
+static_assert(offsetof(RankCounters, rendezvous_transfers) % kCounterCacheLine == 0);
+static_assert(offsetof(RankCounters, engine_tasks) % kCounterCacheLine == 0);
 
 /// @brief Plain (non-atomic) snapshot of one rank's counters.
 struct Snapshot {
     std::array<std::uint64_t, num_calls> calls{};
-    std::uint64_t messages_sent = 0;
-    std::uint64_t bytes_sent = 0;
-    std::uint64_t fastpath_sends = 0;
-    std::uint64_t ring_enqueues = 0;
-    std::uint64_t coalesced_sends = 0;
-    std::uint64_t ring_full_fallbacks = 0;
-    std::uint64_t rendezvous_transfers = 0;
-    std::uint64_t bytes_zero_copied = 0;
-    std::uint64_t pool_hits = 0;
-    std::uint64_t pool_misses = 0;
-    std::uint64_t reserved_payload_reuses = 0;
-    std::uint64_t engine_tasks = 0;
-    std::uint64_t engine_inline_fallbacks = 0;
-    std::uint64_t engine_queue_depth_max = 0;
-    std::uint64_t engine_caller_steals = 0;
-    std::uint64_t engine_incomplete_destructions = 0;
-    std::uint64_t engine_stall_escalations = 0;
-    std::uint64_t rma_puts = 0;
-    std::uint64_t rma_gets = 0;
-    std::uint64_t rma_accumulates = 0;
-    std::uint64_t rma_atomics = 0;
-    std::uint64_t rma_bytes_zero_copied = 0;
-    std::uint64_t rma_epoch_waits = 0;
-    std::uint64_t sched_steals_attempted = 0;
-    std::uint64_t sched_steals_succeeded = 0;
-    std::uint64_t sched_tasks_executed = 0;
-    std::uint64_t sched_requeue_after_failure = 0;
-    std::uint64_t stale_epoch_drops = 0;
-    std::uint64_t epoch_transitions = 0;
+#define XMPI_PROFILE_FIELD(head, name, doc) std::uint64_t name = 0;
+    XMPI_PROFILE_COUNTERS(XMPI_PROFILE_FIELD)
+#undef XMPI_PROFILE_FIELD
 
     [[nodiscard]] std::uint64_t operator[](Call call) const {
         return calls[static_cast<std::size_t>(call)];
@@ -230,6 +184,18 @@ struct Snapshot {
             sum += value;
         }
         return sum;
+    }
+    /// @brief Adds @c other field by field (e.g. to total several ranks).
+    /// High-water marks such as engine_queue_depth_max are summed too; take
+    /// their maximum separately where that is what is meant.
+    Snapshot& operator+=(Snapshot const& other) {
+        for (std::size_t i = 0; i < num_calls; ++i) {
+            calls[i] += other.calls[i];
+        }
+#define XMPI_PROFILE_ADD(head, name, doc) name += other.name;
+        XMPI_PROFILE_COUNTERS(XMPI_PROFILE_ADD)
+#undef XMPI_PROFILE_ADD
+        return *this;
     }
 };
 

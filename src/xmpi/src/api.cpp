@@ -452,94 +452,27 @@ int XMPI_Testall(int count, XMPI_Request* requests, int* flag, XMPI_Status* stat
 }
 
 int XMPI_Waitany(int count, XMPI_Request* requests, int* index, XMPI_Status* status) {
-    int found = XMPI_UNDEFINED;
-    xmpi::Status found_status = empty_status();
-    bool none_active = false;
-    // The completion is recorded inside the sweep at detection time:
-    // test() on a persistent request consumes it (flips it inactive), so
-    // the ladder must never re-test a request it already saw complete.
-    auto sweep = [&] {
-        bool any_active = false;
-        for (int i = 0; i < count; ++i) {
-            if (!is_pollable(requests[i])) {
-                continue;
-            }
-            any_active = true;
-            xmpi::Status test_status;
-            if (requests[i]->test(test_status)) {
-                consume_completed(&requests[i]);
-                found = i;
-                found_status = test_status;
-                return true;
-            }
-        }
-        if (!any_active) {
-            none_active = true;
-            return true;
-        }
-        return false;
-    };
-    wait_ladder(sweep);
-    if (none_active) {
-        *index = XMPI_UNDEFINED;
-        if (status != XMPI_STATUS_IGNORE) {
-            *status = empty_status();
-        }
-        return XMPI_SUCCESS;
-    }
-    *index = found;
-    if (status != XMPI_STATUS_IGNORE) {
-        *status = found_status;
-    }
-    return found_status.error;
+    // Testany consumes the completion it reports (test() flips a persistent
+    // request inactive), so the ladder stops at the first flag and never
+    // re-tests a request it already saw complete.
+    int flag = 0;
+    int err = XMPI_SUCCESS;
+    wait_ladder([&] {
+        err = XMPI_Testany(count, requests, index, &flag, status);
+        return flag != 0;
+    });
+    return err;
 }
 
 int XMPI_Waitsome(
     int incount, XMPI_Request* requests, int* outcount, int* indices, XMPI_Status* statuses) {
-    *outcount = 0;
-    bool none_active = false;
-    int first_error = XMPI_SUCCESS;
-    bool any_error = false;
-    auto sweep = [&] {
-        bool any_active = false;
-        for (int i = 0; i < incount; ++i) {
-            if (!is_pollable(requests[i])) {
-                continue;
-            }
-            any_active = true;
-            xmpi::Status status;
-            if (requests[i]->test(status)) {
-                consume_completed(&requests[i]);
-                indices[*outcount] = i;
-                if (statuses != XMPI_STATUSES_IGNORE) {
-                    statuses[*outcount] = status;
-                }
-                if (status.error != XMPI_SUCCESS) {
-                    any_error = true;
-                    if (first_error == XMPI_SUCCESS) {
-                        first_error = status.error;
-                    }
-                }
-                ++*outcount;
-            }
-        }
-        if (!any_active && *outcount == 0) {
-            none_active = true;
-            return true;
-        }
-        return *outcount > 0;
-    };
-    wait_ladder(sweep);
-    if (none_active) {
-        *outcount = XMPI_UNDEFINED;
-        return XMPI_SUCCESS;
-    }
-    if (any_error) {
-        // A completed request failed; the statuses carry the real codes
-        // (ERR_IN_STATUS), or the first code when the caller ignores them.
-        return statuses != XMPI_STATUSES_IGNORE ? XMPI_ERR_IN_STATUS : first_error;
-    }
-    return XMPI_SUCCESS;
+    // Testsome reports XMPI_UNDEFINED (nonzero) when no request is active.
+    int err = XMPI_SUCCESS;
+    wait_ladder([&] {
+        err = XMPI_Testsome(incount, requests, outcount, indices, statuses);
+        return *outcount != 0;
+    });
+    return err;
 }
 
 int XMPI_Testany(int count, XMPI_Request* requests, int* index, int* flag, XMPI_Status* status) {

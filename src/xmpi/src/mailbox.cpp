@@ -261,11 +261,11 @@ bool Mailbox::drain_rings_locked() {
     return progressed;
 }
 
-void Mailbox::deliver_overflow(PeerRing& ring, Message message) {
+void Mailbox::deliver_overflow(PeerRing& ring, RingEntry&& entry, std::size_t batch_bytes) {
     {
         std::lock_guard lock(mutex_);
         drain_one_ring_locked(ring);
-        deliver_locked(std::move(message));
+        dispatch_entry_locked(std::move(entry), batch_bytes);
     }
     waiter_.notify();
 }

@@ -13,47 +13,10 @@ Snapshot snapshot_counters(RankCounters const& counters) {
     for (std::size_t i = 0; i < num_calls; ++i) {
         snapshot.calls[i] = counters.calls[i].load(std::memory_order_relaxed);
     }
-    snapshot.messages_sent = counters.messages_sent.load(std::memory_order_relaxed);
-    snapshot.bytes_sent = counters.bytes_sent.load(std::memory_order_relaxed);
-    snapshot.fastpath_sends = counters.fastpath_sends.load(std::memory_order_relaxed);
-    snapshot.ring_enqueues = counters.ring_enqueues.load(std::memory_order_relaxed);
-    snapshot.coalesced_sends = counters.coalesced_sends.load(std::memory_order_relaxed);
-    snapshot.ring_full_fallbacks =
-        counters.ring_full_fallbacks.load(std::memory_order_relaxed);
-    snapshot.rendezvous_transfers =
-        counters.rendezvous_transfers.load(std::memory_order_relaxed);
-    snapshot.bytes_zero_copied = counters.bytes_zero_copied.load(std::memory_order_relaxed);
-    snapshot.pool_hits = counters.pool_hits.load(std::memory_order_relaxed);
-    snapshot.pool_misses = counters.pool_misses.load(std::memory_order_relaxed);
-    snapshot.reserved_payload_reuses =
-        counters.reserved_payload_reuses.load(std::memory_order_relaxed);
-    snapshot.engine_tasks = counters.engine_tasks.load(std::memory_order_relaxed);
-    snapshot.engine_inline_fallbacks =
-        counters.engine_inline_fallbacks.load(std::memory_order_relaxed);
-    snapshot.engine_queue_depth_max =
-        counters.engine_queue_depth_max.load(std::memory_order_relaxed);
-    snapshot.engine_caller_steals = counters.engine_caller_steals.load(std::memory_order_relaxed);
-    snapshot.engine_incomplete_destructions =
-        counters.engine_incomplete_destructions.load(std::memory_order_relaxed);
-    snapshot.engine_stall_escalations =
-        counters.engine_stall_escalations.load(std::memory_order_relaxed);
-    snapshot.rma_puts = counters.rma_puts.load(std::memory_order_relaxed);
-    snapshot.rma_gets = counters.rma_gets.load(std::memory_order_relaxed);
-    snapshot.rma_accumulates = counters.rma_accumulates.load(std::memory_order_relaxed);
-    snapshot.rma_atomics = counters.rma_atomics.load(std::memory_order_relaxed);
-    snapshot.rma_bytes_zero_copied =
-        counters.rma_bytes_zero_copied.load(std::memory_order_relaxed);
-    snapshot.rma_epoch_waits = counters.rma_epoch_waits.load(std::memory_order_relaxed);
-    snapshot.sched_steals_attempted =
-        counters.sched_steals_attempted.load(std::memory_order_relaxed);
-    snapshot.sched_steals_succeeded =
-        counters.sched_steals_succeeded.load(std::memory_order_relaxed);
-    snapshot.sched_tasks_executed =
-        counters.sched_tasks_executed.load(std::memory_order_relaxed);
-    snapshot.sched_requeue_after_failure =
-        counters.sched_requeue_after_failure.load(std::memory_order_relaxed);
-    snapshot.stale_epoch_drops = counters.stale_epoch_drops.load(std::memory_order_relaxed);
-    snapshot.epoch_transitions = counters.epoch_transitions.load(std::memory_order_relaxed);
+#define XMPI_PROFILE_LOAD(head, name, doc) \
+    snapshot.name = counters.name.load(std::memory_order_relaxed);
+    XMPI_PROFILE_COUNTERS(XMPI_PROFILE_LOAD)
+#undef XMPI_PROFILE_LOAD
     return snapshot;
 }
 

@@ -241,6 +241,21 @@ private:
         escalated_.emplace_back([this] { escalated_loop(); });
     }
 
+    /// @brief Pops queued tasks until one is claimed (called with mutex_
+    /// held); tasks a caller already stole are skipped. Returns nullptr once
+    /// the queue is empty.
+    TaskPtr pop_claimable_locked() {
+        while (!queue_.empty()) {
+            TaskPtr task = queue_.front();
+            queue_.pop_front();
+            if (task->state.load(std::memory_order_relaxed) == Task::queued
+                && claim_locked(task)) {
+                return task;
+            }
+        }
+        return nullptr;
+    }
+
     /// @brief Temporary worker: drains queued tasks and exits as soon as
     /// the queue is empty. The exited thread stays joinable in escalated_
     /// (a handle, not a live thread) until the next stop_workers() reaps it.
@@ -249,16 +264,8 @@ private:
             TaskPtr claimed;
             {
                 std::lock_guard lock(mutex_);
-                while (!stopping_ && !queue_.empty()) {
-                    TaskPtr task = queue_.front();
-                    queue_.pop_front();
-                    if (task->state.load(std::memory_order_relaxed) != Task::queued) {
-                        continue;
-                    }
-                    if (claim_locked(task)) {
-                        claimed = std::move(task);
-                        break;
-                    }
+                if (!stopping_) {
+                    claimed = pop_claimable_locked();
                 }
             }
             if (claimed == nullptr) {
@@ -311,20 +318,12 @@ private:
         }
     }
 
-    unsigned resolved_thread_count_locked() const {
-        if (config_.threads != 0) {
-            return config_.threads;
-        }
-        unsigned const hw = std::max(1u, std::thread::hardware_concurrency());
-        return std::max(1u, std::min(4u, hw - 1 == 0 ? 1u : hw - 1));
-    }
-
     /// @brief Lazily starts the worker pool (called with mutex_ held).
     void ensure_workers_locked() {
         if (!workers_.empty() || stopping_) {
             return;
         }
-        unsigned const count = resolved_thread_count_locked();
+        unsigned const count = config_.threads != 0 ? config_.threads : default_thread_count();
         workers_.reserve(count);
         for (unsigned i = 0; i < count; ++i) {
             workers_.emplace_back([this] { worker_loop(); });
@@ -342,17 +341,7 @@ private:
                 if (stopping_) {
                     return;
                 }
-                while (!queue_.empty()) {
-                    TaskPtr task = queue_.front();
-                    queue_.pop_front();
-                    if (task->state.load(std::memory_order_relaxed) != Task::queued) {
-                        continue;
-                    }
-                    if (claim_locked(task)) {
-                        claimed = std::move(task);
-                        break;
-                    }
-                }
+                claimed = pop_claimable_locked();
             }
             if (claimed != nullptr) {
                 run_task(claimed);

@@ -28,9 +28,34 @@ int check_peer(Comm const& comm, int peer) {
 
 namespace {
 
+/// @brief Publishes @c entry on the (src,dst) ring and wakes the receiver;
+/// a @c fastpath publish also counts in fastpath_sends. Every counter is
+/// bumped before the wake, so a receiver that got the message reads final
+/// sender counters. When the ring is full the receiver is far behind: take
+/// its mailbox lock once, drain the ring in order, and deliver the entry
+/// directly.
+///
+/// The full-ring path helps under the receiver's lock instead of waiting for
+/// ring space: several waits (Ibarrier, synchronous-mode send, epoch_sync,
+/// ft_rendezvous, partitioned send) block without draining their rank's
+/// rings, so a sender waiting on such a rank would never wake.
+void publish(
+    Mailbox& dst_box, PeerRing& ring, RingEntry&& entry, std::size_t batch_bytes,
+    bool fastpath, profile::RankCounters& counters) {
+    if (ring.try_push(std::move(entry), batch_bytes)) {
+        counters.ring_enqueues.fetch_add(1, std::memory_order_relaxed);
+        if (fastpath) {
+            counters.fastpath_sends.fetch_add(1, std::memory_order_relaxed);
+        }
+        dst_box.notify_push();
+        return;
+    }
+    counters.ring_full_fallbacks.fetch_add(1, std::memory_order_relaxed);
+    dst_box.deliver_overflow(ring, std::move(entry), batch_bytes);
+}
+
 /// @brief Coalescing path for small contiguous sends: ride the open batch
-/// slot if possible, else open a fresh batch. Falls back to the locked
-/// bypass when the ring is full.
+/// slot if possible, else open a fresh batch.
 int send_small(
     World& world, Mailbox& dst_box, PeerRing& ring, Envelope const& env,
     std::byte const* data, std::size_t bytes, profile::RankCounters& counters) {
@@ -55,23 +80,8 @@ int send_small(
 
     RingEntry entry;
     entry.kind = RingEntry::Kind::batch;
-    entry.block = block;
-    if (ring.try_push(std::move(entry), batch_record_bytes(bytes))) {
-        counters.ring_enqueues.fetch_add(1, std::memory_order_relaxed);
-        counters.fastpath_sends.fetch_add(1, std::memory_order_relaxed);
-        dst_box.notify_push();
-        return XMPI_SUCCESS;
-    }
-
-    // Ring full: the receiver is far behind. Take its mailbox lock once,
-    // drain our ring in order, and deliver directly.
-    counters.ring_full_fallbacks.fetch_add(1, std::memory_order_relaxed);
-    Message message;
-    message.env = env;
-    message.payload = PayloadRef{
-        std::move(block), static_cast<std::uint32_t>(sizeof(header)),
-        static_cast<std::uint32_t>(bytes)};
-    dst_box.deliver_overflow(ring, std::move(message));
+    entry.block = std::move(block);
+    publish(dst_box, ring, std::move(entry), batch_record_bytes(bytes), true, counters);
     return XMPI_SUCCESS;
 }
 
@@ -98,18 +108,7 @@ int send_rendezvous(
     entry.bytes = bytes;
     entry.sync = std::move(sync);
     entry.rendezvous = rdv;
-    if (ring.try_push(std::move(entry), 0)) {
-        counters.ring_enqueues.fetch_add(1, std::memory_order_relaxed);
-        counters.fastpath_sends.fetch_add(1, std::memory_order_relaxed);
-        dst_box.notify_push();
-    } else {
-        counters.ring_full_fallbacks.fetch_add(1, std::memory_order_relaxed);
-        Message message;
-        message.env = env;
-        message.sync = std::move(entry.sync);
-        message.rendezvous = rdv;
-        dst_box.deliver_overflow(ring, std::move(message));
-    }
+    publish(dst_box, ring, std::move(entry), 0, true, counters);
 
     // If this rank dies before the descriptor is resolved, mark it
     // abandoned so the receiver fails with XMPI_ERR_PROC_FAILED instead of
@@ -256,17 +255,7 @@ int transport_send(
     entry.block = std::make_shared<PooledBlock>(&pool, std::move(payload), std::move(home));
     type.pack(buf, count, entry.block->bytes.data());
     entry.sync = std::move(sync);
-    if (ring.try_push(std::move(entry), 0)) {
-        counters.ring_enqueues.fetch_add(1, std::memory_order_relaxed);
-        dst_box.notify_push();
-        return XMPI_SUCCESS;
-    }
-    counters.ring_full_fallbacks.fetch_add(1, std::memory_order_relaxed);
-    Message message;
-    message.env = env;
-    message.payload = PayloadRef{std::move(entry.block), 0, static_cast<std::uint32_t>(bytes)};
-    message.sync = std::move(entry.sync);
-    dst_box.deliver_overflow(ring, std::move(message));
+    publish(dst_box, ring, std::move(entry), 0, false, counters);
     return XMPI_SUCCESS;
 }
 

@@ -2,6 +2,9 @@
 /// @brief PMPI-style profiling counters: call counts and traffic volumes.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <barrier>
+#include <cstdint>
 #include <vector>
 
 #include "xmpi/xmpi.hpp"
@@ -96,6 +99,77 @@ TEST(Profile, ResetClearsCounters) {
         EXPECT_EQ(snapshot.total_calls(), 0u);
         EXPECT_EQ(snapshot.messages_sent, 0u);
         XMPI_Barrier(XMPI_COMM_WORLD);
+    });
+}
+
+/// One row per entry of the counter table, so the test below follows the
+/// table as it grows.
+struct CounterField {
+    char const* name;
+    std::atomic<std::uint64_t> xmpi::profile::RankCounters::* live;
+    std::uint64_t xmpi::profile::Snapshot::* snapshot;
+};
+
+std::vector<CounterField> const kCounterFields = {
+#define XMPI_TEST_FIELD(head, name, doc) \
+    {#name, &xmpi::profile::RankCounters::name, &xmpi::profile::Snapshot::name},
+    XMPI_PROFILE_COUNTERS(XMPI_TEST_FIELD)
+#undef XMPI_TEST_FIELD
+};
+
+TEST(Profile, EveryCounterSnapshotsSumsAndResets) {
+    constexpr int kRanks = 3;
+    // Distinct per counter and per rank, so a field copied into, summed
+    // into or left out of the wrong slot cannot go unnoticed.
+    auto const amount = [](std::size_t field, int rank) -> std::uint64_t {
+        return (field + 1) * 100 + static_cast<std::uint64_t>(rank) + 1;
+    };
+    // Plain thread barriers, not XMPI ones: an XMPI barrier would bump the
+    // very counters under test.
+    std::barrier sync(kRanks);
+    World::run_ranked(kRanks, [&](int rank) {
+        sync.arrive_and_wait();
+        if (rank == 0) {
+            xmpi::profile::reset_all();
+        }
+        sync.arrive_and_wait();
+        auto& mine = xmpi::profile::my_counters();
+        for (std::size_t i = 0; i < kCounterFields.size(); ++i) {
+            (mine.*kCounterFields[i].live).fetch_add(amount(i, rank));
+        }
+        for (std::size_t c = 0; c < xmpi::profile::num_calls; ++c) {
+            mine.calls[c].fetch_add(amount(c, rank));
+        }
+        sync.arrive_and_wait();
+        if (rank == 0) {
+            xmpi::profile::Snapshot total;
+            for (int r = 0; r < kRanks; ++r) {
+                auto const snapshot = xmpi::profile::snapshot_of(r);
+                for (std::size_t i = 0; i < kCounterFields.size(); ++i) {
+                    EXPECT_EQ(snapshot.*kCounterFields[i].snapshot, amount(i, r))
+                        << kCounterFields[i].name << " on rank " << r;
+                }
+                total += snapshot;
+            }
+            for (std::size_t i = 0; i < kCounterFields.size(); ++i) {
+                EXPECT_EQ(
+                    total.*kCounterFields[i].snapshot,
+                    amount(i, 0) + amount(i, 1) + amount(i, 2))
+                    << kCounterFields[i].name;
+            }
+            for (std::size_t c = 0; c < xmpi::profile::num_calls; ++c) {
+                EXPECT_EQ(total.calls[c], amount(c, 0) + amount(c, 1) + amount(c, 2));
+            }
+            xmpi::profile::reset_all();
+            for (int r = 0; r < kRanks; ++r) {
+                auto const snapshot = xmpi::profile::snapshot_of(r);
+                for (auto const& field: kCounterFields) {
+                    EXPECT_EQ(snapshot.*field.snapshot, 0u) << field.name << " on rank " << r;
+                }
+                EXPECT_EQ(snapshot.total_calls(), 0u);
+            }
+        }
+        sync.arrive_and_wait();
     });
 }
 

@@ -8,6 +8,7 @@
 /// spread across exact buckets and the wildcard list.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdlib>
 #include <thread>
 #include <vector>
@@ -157,6 +158,52 @@ TEST(TransportRings, FullRingFallsBackToLockedBypassInOrder) {
             }
         }
     });
+}
+
+// A receiver that stays out of XMPI never drains, so a sender overruns the
+// 2-slot ring deterministically. Every entry kind that fills a slot — a batch
+// of small sends, a packed eager payload, a rendezvous descriptor (which
+// falls back to eager while nobody claims it) — must then take the locked
+// overflow and still arrive intact and in send order.
+TEST(TransportRings, EveryEntryKindOverflowsInOrder) {
+    KnobGuard guard;
+    xmpi::tuning::transport().ring_capacity = 2;
+    struct Case {
+        std::size_t ints;
+        int messages;
+    };
+    // 256 B coalesces, 1 KiB is packed eager, 64 KiB is a rendezvous.
+    for (Case const c: {Case{64, 400}, Case{256, 8}, Case{16 * 1024, 4}}) {
+        std::atomic<bool> sent{false};
+        World::run_ranked(2, [&](int rank) {
+            int const count = static_cast<int>(c.ints);
+            std::vector<int> payload(c.ints, -1);
+            if (rank == 0) {
+                xmpi::profile::reset_mine();
+                for (int i = 0; i < c.messages; ++i) {
+                    payload.assign(c.ints, i);
+                    XMPI_Send(payload.data(), count, XMPI_INT, 1, 5, XMPI_COMM_WORLD);
+                }
+                auto const s = xmpi::profile::my_snapshot();
+                EXPECT_GT(s.ring_full_fallbacks, 0u) << c.ints << " ints";
+                EXPECT_EQ(
+                    s.coalesced_sends + s.ring_enqueues + s.ring_full_fallbacks,
+                    static_cast<std::uint64_t>(c.messages));
+                sent.store(true);
+            } else {
+                while (!sent.load()) {
+                    std::this_thread::yield();
+                }
+                for (int i = 0; i < c.messages; ++i) {
+                    XMPI_Recv(
+                        payload.data(), count, XMPI_INT, 0, 5, XMPI_COMM_WORLD,
+                        XMPI_STATUS_IGNORE);
+                    ASSERT_EQ(payload.front(), i) << c.ints << " ints";
+                    ASSERT_EQ(payload.back(), i) << c.ints << " ints";
+                }
+            }
+        });
+    }
 }
 
 // ---------------------------------------------------------------------------
