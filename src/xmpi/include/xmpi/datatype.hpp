@@ -42,6 +42,19 @@ struct TypeBlock {
     std::size_t count;
 };
 
+/// @brief One run a reduction walks: @c blocks blocks of @c count elements
+/// of kind @c elem, the first at byte @c offset from the element base and
+/// each @c stride bytes past the one before. Consecutive typemap blocks of
+/// one kind and length at a constant distance (a vector type's blocks)
+/// compile into a single run.
+struct ReduceRun {
+    std::ptrdiff_t offset;
+    BuiltinType elem;
+    std::size_t count;
+    std::size_t blocks;
+    std::ptrdiff_t stride;
+};
+
 /// @brief An MPI-style datatype. Immutable once committed; reference counted
 /// so that handles may be freed while communication is in flight.
 ///
@@ -87,9 +100,13 @@ public:
     [[nodiscard]] std::ptrdiff_t lower_bound() const { return lb_; }
     [[nodiscard]] std::vector<TypeBlock> const& typemap() const { return typemap_; }
 
-    /// @brief True iff the typemap is a single run of one builtin kind
-    /// starting at offset 0 with extent == size (reduction-friendly layout).
+    /// @brief True iff the typemap is non-empty and every block holds the
+    /// same builtin kind. Says nothing about offsets or extent: a strided
+    /// vector of ints is homogeneous too.
     [[nodiscard]] bool is_homogeneous() const { return homogeneous_; }
+    /// @brief True iff no block holds a float, double, long double or bool,
+    /// so the bitwise ops (band, bor, bxor) can reduce this type.
+    [[nodiscard]] bool is_integral() const { return integral_; }
     /// @brief True iff the packed representation equals the in-memory
     /// representation: the typemap bytes tile [0, size) without gaps or
     /// reordering and consecutive elements are densely strided
@@ -100,6 +117,26 @@ public:
     /// @brief For homogeneous types: the builtin kind and element count.
     [[nodiscard]] BuiltinType element_kind() const { return typemap_.front().elem; }
     [[nodiscard]] std::size_t elements_per_item() const { return elements_per_item_; }
+
+    /// @brief How a builtin reduction walks @c count elements of this type.
+    /// Compiled once from the typemap, with reduce_runs(), when the type is
+    /// built.
+    enum class ReduceLayout : std::uint8_t {
+        /// One block of one kind at offset 0 and size == extent: the
+        /// elements of a buffer form a single run of
+        /// count * typemap().front().count values.
+        dense,
+        /// Element footprints cannot overlap (|extent| >= span of the
+        /// typemap): each run is one loop over all elements, element
+        /// stride = extent.
+        block_major,
+        /// Footprints can overlap (|extent| < span): elements are combined
+        /// one at a time, in order, run by run.
+        overlapping,
+    };
+    [[nodiscard]] ReduceLayout reduce_layout() const { return reduce_layout_; }
+    /// @brief The typemap compiled into strided runs, in typemap order.
+    [[nodiscard]] std::vector<ReduceRun> const& reduce_runs() const { return reduce_runs_; }
 
     [[nodiscard]] bool committed() const { return committed_; }
     void commit() { committed_ = true; }
@@ -131,7 +168,10 @@ private:
     std::ptrdiff_t extent_ = 0;
     std::vector<TypeBlock> typemap_;
     bool homogeneous_ = false;
+    bool integral_ = true;
     bool contiguous_ = false;
+    ReduceLayout reduce_layout_ = ReduceLayout::block_major;
+    std::vector<ReduceRun> reduce_runs_;
     std::size_t elements_per_item_ = 0;
     bool committed_ = false;
     std::atomic<int> refcount_{1};

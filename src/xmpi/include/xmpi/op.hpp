@@ -45,10 +45,18 @@ public:
     [[nodiscard]] BuiltinOp builtin() const { return builtin_; }
     [[nodiscard]] bool commutative() const { return commutative_; }
 
+    /// @brief False iff this is a bitwise op (band, bor, bxor) and
+    /// @p datatype holds a float, double, long double or bool block. The API
+    /// entry points turn false into XMPI_ERR_OP before any message moves.
+    [[nodiscard]] bool accepts(Datatype const& datatype) const;
+
     /// @brief Applies the operation: inout[i] = op(in[i], inout[i]) for
     /// count elements laid out according to @c datatype (user layout, i.e.
-    /// extent-strided). Builtin ops walk the typemap and dispatch on the
-    /// element kind; user ops are invoked with the MPI-style signature.
+    /// extent-strided). Builtin ops walk the type's compiled reduce runs
+    /// (Datatype::reduce_layout): one loop for dense types, one pass per run
+    /// over all elements otherwise, element by element only when footprints
+    /// can overlap. User ops are invoked once, with the MPI-style signature and
+    /// the caller's count.
     void apply(void const* in, void* inout, std::size_t count, Datatype const& datatype) const;
 
 private:

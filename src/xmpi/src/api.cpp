@@ -39,6 +39,13 @@ void count_call(xmpi::profile::Call call) {
     }
 }
 
+/// XMPI_ERR_OP for a null op or one that cannot reduce @p datatype (a
+/// bitwise op on a float or bool block). Every entry point that takes an op
+/// calls this before any message moves, so all ranks return the same code.
+int check_op(XMPI_Op op, XMPI_Datatype datatype) {
+    return op != XMPI_OP_NULL && op->accepts(*datatype) ? XMPI_SUCCESS : XMPI_ERR_OP;
+}
+
 xmpi::Status empty_status() {
     return xmpi::Status{XMPI_PROC_NULL, XMPI_ANY_TAG, XMPI_SUCCESS, 0};
 }
@@ -608,6 +615,9 @@ int XMPI_Allreduce_init(
     void const* sendbuf, void* recvbuf, int count, XMPI_Datatype datatype, XMPI_Op op,
     XMPI_Comm comm, XMPI_Request* request) {
     count_call(xmpi::profile::Call::allreduce_init);
+    if (int const err = check_op(op, datatype); err != XMPI_SUCCESS) {
+        return err;
+    }
     *request = xmpi::detail::make_persistent_allreduce(
         *comm, sendbuf, recvbuf, static_cast<std::size_t>(count), *datatype, *op);
     return XMPI_SUCCESS;
@@ -801,6 +811,9 @@ int XMPI_Iallreduce(
     void const* sendbuf, void* recvbuf, int count_, XMPI_Datatype datatype, XMPI_Op op,
     XMPI_Comm comm, XMPI_Request* request) {
     count_call(xmpi::profile::Call::iallreduce);
+    if (int const err = check_op(op, datatype); err != XMPI_SUCCESS) {
+        return err;
+    }
     xmpi::detail::CollChannel const channel{comm->nbc_context(), comm->next_nbc_sequence()};
     *request = xmpi::progress::detail::submit("iallreduce", comm, [=] {
         return xmpi::detail::coll_allreduce_on(
@@ -827,6 +840,9 @@ int XMPI_Reduce(
     void const* sendbuf, void* recvbuf, int count_, XMPI_Datatype datatype, XMPI_Op op, int root,
     XMPI_Comm comm) {
     count_call(xmpi::profile::Call::reduce);
+    if (int const err = check_op(op, datatype); err != XMPI_SUCCESS) {
+        return err;
+    }
     return xmpi::detail::coll_reduce(
         *comm, sendbuf, recvbuf, static_cast<std::size_t>(count_), *datatype, *op, root);
 }
@@ -835,6 +851,9 @@ int XMPI_Allreduce(
     void const* sendbuf, void* recvbuf, int count_, XMPI_Datatype datatype, XMPI_Op op,
     XMPI_Comm comm) {
     count_call(xmpi::profile::Call::allreduce);
+    if (int const err = check_op(op, datatype); err != XMPI_SUCCESS) {
+        return err;
+    }
     return xmpi::detail::coll_allreduce(
         *comm, sendbuf, recvbuf, static_cast<std::size_t>(count_), *datatype, *op);
 }
@@ -843,6 +862,9 @@ int XMPI_Reduce_scatter_block(
     void const* sendbuf, void* recvbuf, int recvcount, XMPI_Datatype datatype, XMPI_Op op,
     XMPI_Comm comm) {
     count_call(xmpi::profile::Call::reduce_scatter_block);
+    if (int const err = check_op(op, datatype); err != XMPI_SUCCESS) {
+        return err;
+    }
     return xmpi::detail::coll_reduce_scatter_block(
         *comm, sendbuf, recvbuf, static_cast<std::size_t>(recvcount), *datatype, *op);
 }
@@ -851,6 +873,9 @@ int XMPI_Scan(
     void const* sendbuf, void* recvbuf, int count_, XMPI_Datatype datatype, XMPI_Op op,
     XMPI_Comm comm) {
     count_call(xmpi::profile::Call::scan);
+    if (int const err = check_op(op, datatype); err != XMPI_SUCCESS) {
+        return err;
+    }
     return xmpi::detail::coll_scan(
         *comm, sendbuf, recvbuf, static_cast<std::size_t>(count_), *datatype, *op, false);
 }
@@ -859,6 +884,9 @@ int XMPI_Exscan(
     void const* sendbuf, void* recvbuf, int count_, XMPI_Datatype datatype, XMPI_Op op,
     XMPI_Comm comm) {
     count_call(xmpi::profile::Call::exscan);
+    if (int const err = check_op(op, datatype); err != XMPI_SUCCESS) {
+        return err;
+    }
     return xmpi::detail::coll_scan(
         *comm, sendbuf, recvbuf, static_cast<std::size_t>(count_), *datatype, *op, true);
 }
@@ -1241,8 +1269,8 @@ int XMPI_Accumulate(
         err != XMPI_SUCCESS) {
         return err;
     }
-    if (op == XMPI_OP_NULL) {
-        return XMPI_ERR_OP;
+    if (int const err = check_op(op, target_datatype); err != XMPI_SUCCESS) {
+        return err;
     }
     if (target_rank == XMPI_PROC_NULL) {
         return XMPI_SUCCESS;
@@ -1259,8 +1287,8 @@ int XMPI_Fetch_and_op(
     if (int const err = check_rma_args(datatype, datatype, 1, 1, win); err != XMPI_SUCCESS) {
         return err;
     }
-    if (op == XMPI_OP_NULL) {
-        return XMPI_ERR_OP;
+    if (int const err = check_op(op, datatype); err != XMPI_SUCCESS) {
+        return err;
     }
     if (result_addr == nullptr) {
         return XMPI_ERR_BUFFER;

@@ -255,8 +255,8 @@ int run_allreduce_hier(CollCtx& ctx) {
     Op const& op = *ctx.op;
     std::size_t const bytes = count * static_cast<std::size_t>(type.extent());
 
-    // Fold in place in recvbuf on every rank.
-    if (ctx.sendbuf != ctx.recvbuf) {
+    // Fold in place in recvbuf on every rank (count-0 calls may pass null).
+    if (ctx.sendbuf != ctx.recvbuf && bytes != 0) {
         std::memcpy(ctx.recvbuf, ctx.sendbuf, bytes);
     }
     ReduceScratch local;

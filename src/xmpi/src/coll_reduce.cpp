@@ -9,6 +9,14 @@
 namespace xmpi::detail {
 namespace {
 
+/// @brief memcpy that skips empty copies: count-0 reductions may pass null
+/// buffers, and memcpy's pointers must not be null even for zero bytes.
+void copy_bytes(void* dst, void const* src, std::size_t bytes) {
+    if (bytes != 0) {
+        std::memcpy(dst, src, bytes);
+    }
+}
+
 /// @brief Scratch buffer holding `count` elements in user layout (extent-
 /// strided), so reduction operations can be applied directly.
 struct ElementBuffer {
@@ -44,7 +52,7 @@ int run_reduce_linear(CollCtx& ctx) {
     // swap.
     auto const load = [&](int source, void* dst) -> int {
         if (source == root) {
-            std::memcpy(dst, contribution, count * static_cast<std::size_t>(type.extent()));
+            copy_bytes(dst, contribution, count * static_cast<std::size_t>(type.extent()));
             return XMPI_SUCCESS;
         }
         return transport_recv(comm, source, channel.tag, channel.context, dst, count, type, nullptr);
@@ -59,7 +67,7 @@ int run_reduce_linear(CollCtx& ctx) {
         op.apply(accumulator.data(), incoming.data(), count, type);
         std::swap(accumulator.storage, incoming.storage);
     }
-    std::memcpy(ctx.recvbuf, accumulator.data(), count * static_cast<std::size_t>(type.extent()));
+    copy_bytes(ctx.recvbuf, accumulator.data(), count * static_cast<std::size_t>(type.extent()));
     return XMPI_SUCCESS;
 }
 
@@ -78,7 +86,7 @@ int run_reduce_binomial(CollCtx& ctx) {
 
     ElementBuffer accumulator(count, type);
     ElementBuffer incoming(count, type);
-    std::memcpy(
+    copy_bytes(
         accumulator.data(), ctx.sendbuf, count * static_cast<std::size_t>(type.extent()));
 
     int mask = 1;
@@ -108,7 +116,7 @@ int run_reduce_binomial(CollCtx& ctx) {
         }
         mask <<= 1;
     }
-    std::memcpy(ctx.recvbuf, accumulator.data(), count * static_cast<std::size_t>(type.extent()));
+    copy_bytes(ctx.recvbuf, accumulator.data(), count * static_cast<std::size_t>(type.extent()));
     return XMPI_SUCCESS;
 }
 
@@ -147,7 +155,7 @@ int run_allreduce_recursive_doubling(CollCtx& ctx) {
     } else {
         scratch.accumulator.resize(bytes);
         acc = scratch.accumulator.data();
-        std::memcpy(acc, contribution, bytes);
+        copy_bytes(acc, contribution, bytes);
     }
     scratch.incoming.resize(bytes);
     std::byte* const in = scratch.incoming.data();
@@ -210,12 +218,12 @@ int run_allreduce_recursive_doubling(CollCtx& ctx) {
                 comm, r + 1, channel.tag, channel.context, recvbuf, count, type, nullptr);
         }
         if (!in_place) {
-            std::memcpy(recvbuf, acc, bytes);
+            copy_bytes(recvbuf, acc, bytes);
         }
         return transport_send(comm, r - 1, channel.tag, channel.context, recvbuf, count, type);
     }
     if (!in_place) {
-        std::memcpy(recvbuf, acc, bytes);
+        copy_bytes(recvbuf, acc, bytes);
     }
     return XMPI_SUCCESS;
 }
@@ -257,7 +265,7 @@ int run_scan_hillis_steele(CollCtx& ctx) {
     ElementBuffer inclusive(count, type);
     ElementBuffer exclusive_prefix(count, type);
     ElementBuffer incoming(count, type);
-    std::memcpy(inclusive.data(), contribution, bytes);
+    copy_bytes(inclusive.data(), contribution, bytes);
     bool have_prefix = false;
     for (int k = 1; k < p; k <<= 1) {
         if (r + k < p) {
@@ -278,7 +286,7 @@ int run_scan_hillis_steele(CollCtx& ctx) {
             if (have_prefix) {
                 op.apply(incoming.data(), exclusive_prefix.data(), count, type);
             } else {
-                std::memcpy(exclusive_prefix.data(), incoming.data(), bytes);
+                copy_bytes(exclusive_prefix.data(), incoming.data(), bytes);
                 have_prefix = true;
             }
         }
@@ -286,10 +294,10 @@ int run_scan_hillis_steele(CollCtx& ctx) {
     if (ctx.exclusive) {
         // Exscan: rank 0's recvbuf is undefined (left untouched).
         if (have_prefix) {
-            std::memcpy(recvbuf, exclusive_prefix.data(), bytes);
+            copy_bytes(recvbuf, exclusive_prefix.data(), bytes);
         }
     } else {
-        std::memcpy(recvbuf, inclusive.data(), bytes);
+        copy_bytes(recvbuf, inclusive.data(), bytes);
     }
     return XMPI_SUCCESS;
 }

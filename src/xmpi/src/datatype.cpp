@@ -1,6 +1,7 @@
 #include "xmpi/datatype.hpp"
 
 #include <algorithm>
+#include <cstdlib>
 #include <cstring>
 
 #include "kassert/kassert.hpp"
@@ -63,13 +64,61 @@ void Datatype::finalize_layout() {
         size_ += block.count * builtin_size(block.elem);
     }
     homogeneous_ = !typemap_.empty();
+    integral_ = true;
     BuiltinType const first = typemap_.empty() ? BuiltinType::byte_ : typemap_.front().elem;
     elements_per_item_ = 0;
+    std::ptrdiff_t span_begin = typemap_.empty() ? 0 : typemap_.front().offset;
+    std::ptrdiff_t span_end = span_begin;
     for (auto const& block: typemap_) {
         if (block.elem != first) {
             homogeneous_ = false;
         }
+        switch (block.elem) {
+            case BuiltinType::float_:
+            case BuiltinType::double_:
+            case BuiltinType::long_double:
+            case BuiltinType::bool_:
+                integral_ = false;
+                break;
+            default:
+                break;
+        }
         elements_per_item_ += block.count;
+        auto const end =
+            block.offset + static_cast<std::ptrdiff_t>(block.count * builtin_size(block.elem));
+        span_begin = std::min(span_begin, block.offset);
+        span_end = std::max(span_end, end);
+    }
+    // The reduction walk (Op::apply). Blocks of one kind and length at a
+    // constant distance join one run; the second block of a run fixes the
+    // distance. Runs keep typemap order, so every value is still combined in
+    // the order the typemap lists it.
+    reduce_runs_.clear();
+    for (auto const& block: typemap_) {
+        if (!reduce_runs_.empty()) {
+            ReduceRun& run = reduce_runs_.back();
+            std::ptrdiff_t const distance =
+                block.offset
+                - (run.offset + static_cast<std::ptrdiff_t>(run.blocks - 1) * run.stride);
+            if (run.elem == block.elem && run.count == block.count
+                && (run.blocks == 1 || distance == run.stride)) {
+                run.stride = distance;
+                ++run.blocks;
+                continue;
+            }
+        }
+        reduce_runs_.push_back(ReduceRun{block.offset, block.elem, block.count, 1, 0});
+    }
+    // Element i occupies [i * extent + span_begin, i * extent + span_end), so
+    // footprints are disjoint exactly when |extent| covers the span; then the
+    // order in which elements are visited cannot change any result.
+    if (typemap_.size() == 1 && typemap_.front().offset == 0
+        && extent_ == static_cast<std::ptrdiff_t>(size_)) {
+        reduce_layout_ = ReduceLayout::dense;
+    } else if (std::abs(extent_) >= span_end - span_begin) {
+        reduce_layout_ = ReduceLayout::block_major;
+    } else {
+        reduce_layout_ = ReduceLayout::overlapping;
     }
     // Contiguity: the typemap runs must tile [0, size) in order without gaps,
     // and consecutive elements must be densely strided (extent == size, lb 0).

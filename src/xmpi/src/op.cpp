@@ -1,6 +1,7 @@
 #include "xmpi/op.hpp"
 
-#include <cstring>
+#include <cstddef>
+#include <type_traits>
 
 #include "kassert/kassert.hpp"
 #include "xmpi/datatype.hpp"
@@ -8,135 +9,118 @@
 namespace xmpi {
 namespace {
 
+/// @brief One ReduceRun placed over a buffer pair: for each of @c elements
+/// elements (@c extent bytes apart), @c blocks blocks (@c stride bytes
+/// apart) of @c n values each.
+struct Runs {
+    std::byte const* in;
+    std::byte* inout;
+    std::size_t n;
+    std::size_t blocks;
+    std::ptrdiff_t stride;
+    std::size_t elements;
+    std::ptrdiff_t extent;
+};
+
+/// @brief inout = f(in, inout) over every value of @p runs, in order. The
+/// inner loop is a plain array loop, so the compiler vectorizes it.
+template <typename T, typename F>
+void combine_runs(F f, Runs const& runs) {
+    for (std::size_t e = 0; e < runs.elements; ++e) {
+        for (std::size_t b = 0; b < runs.blocks; ++b) {
+            std::ptrdiff_t const shift = static_cast<std::ptrdiff_t>(e) * runs.extent
+                                         + static_cast<std::ptrdiff_t>(b) * runs.stride;
+            auto const* in = reinterpret_cast<T const*>(runs.in + shift);
+            auto* inout = reinterpret_cast<T*>(runs.inout + shift);
+            for (std::size_t i = 0; i < runs.n; ++i) {
+                inout[i] = f(in[i], inout[i]);
+            }
+        }
+    }
+}
+
 template <typename T>
-void combine_typed(BuiltinOp op, T const* in, T* inout, std::size_t n) {
+void combine_typed(BuiltinOp op, Runs const& runs) {
     switch (op) {
         case BuiltinOp::sum:
-            for (std::size_t i = 0; i < n; ++i) {
-                inout[i] = static_cast<T>(in[i] + inout[i]);
-            }
-            break;
+            return combine_runs<T>([](T a, T b) { return static_cast<T>(a + b); }, runs);
         case BuiltinOp::prod:
-            for (std::size_t i = 0; i < n; ++i) {
-                inout[i] = static_cast<T>(in[i] * inout[i]);
-            }
-            break;
+            return combine_runs<T>([](T a, T b) { return static_cast<T>(a * b); }, runs);
         case BuiltinOp::min:
-            for (std::size_t i = 0; i < n; ++i) {
-                inout[i] = in[i] < inout[i] ? in[i] : inout[i];
-            }
-            break;
+            return combine_runs<T>([](T a, T b) { return a < b ? a : b; }, runs);
         case BuiltinOp::max:
-            for (std::size_t i = 0; i < n; ++i) {
-                inout[i] = in[i] > inout[i] ? in[i] : inout[i];
-            }
-            break;
+            return combine_runs<T>([](T a, T b) { return a > b ? a : b; }, runs);
         case BuiltinOp::land:
-            for (std::size_t i = 0; i < n; ++i) {
-                inout[i] = static_cast<T>(in[i] && inout[i]);
-            }
-            break;
+            return combine_runs<T>([](T a, T b) { return static_cast<T>(a && b); }, runs);
         case BuiltinOp::lor:
-            for (std::size_t i = 0; i < n; ++i) {
-                inout[i] = static_cast<T>(in[i] || inout[i]);
-            }
-            break;
+            return combine_runs<T>([](T a, T b) { return static_cast<T>(a || b); }, runs);
         case BuiltinOp::lxor:
-            for (std::size_t i = 0; i < n; ++i) {
-                inout[i] = static_cast<T>(!in[i] != !inout[i]);
-            }
-            break;
+            return combine_runs<T>([](T a, T b) { return static_cast<T>(!a != !b); }, runs);
         default:
-            KASSERT(false, "bitwise op dispatched to non-integral combine");
+            break;
     }
+    if constexpr (std::is_integral_v<T> && !std::is_same_v<T, bool>) {
+        switch (op) {
+            case BuiltinOp::band:
+                return combine_runs<T>([](T a, T b) { return static_cast<T>(a & b); }, runs);
+            case BuiltinOp::bor:
+                return combine_runs<T>([](T a, T b) { return static_cast<T>(a | b); }, runs);
+            case BuiltinOp::bxor:
+                return combine_runs<T>([](T a, T b) { return static_cast<T>(a ^ b); }, runs);
+            default:
+                break;
+        }
+    }
+    // The API entry points reject these combinations (Op::accepts).
+    KASSERT(false, "bitwise op dispatched to non-integral combine");
 }
 
-template <typename T>
-void combine_bitwise(BuiltinOp op, T const* in, T* inout, std::size_t n) {
-    switch (op) {
-        case BuiltinOp::band:
-            for (std::size_t i = 0; i < n; ++i) {
-                inout[i] = static_cast<T>(in[i] & inout[i]);
-            }
-            break;
-        case BuiltinOp::bor:
-            for (std::size_t i = 0; i < n; ++i) {
-                inout[i] = static_cast<T>(in[i] | inout[i]);
-            }
-            break;
-        case BuiltinOp::bxor:
-            for (std::size_t i = 0; i < n; ++i) {
-                inout[i] = static_cast<T>(in[i] ^ inout[i]);
-            }
-            break;
-        default:
-            combine_typed(op, in, inout, n);
-    }
-}
-
-/// @brief Applies a builtin op to one run of @c n elements of kind @c elem.
-void combine_run(BuiltinOp op, BuiltinType elem, void const* in, void* inout, std::size_t n) {
+/// @brief Applies a builtin op to @p runs of elements of kind @p elem.
+void combine(BuiltinOp op, BuiltinType elem, Runs const& runs) {
     switch (elem) {
         case BuiltinType::byte_:
         case BuiltinType::char_:
-            combine_bitwise(op, static_cast<char const*>(in), static_cast<char*>(inout), n);
-            break;
+            return combine_typed<char>(op, runs);
         case BuiltinType::signed_char:
-            combine_bitwise(
-                op, static_cast<signed char const*>(in), static_cast<signed char*>(inout), n);
-            break;
+            return combine_typed<signed char>(op, runs);
         case BuiltinType::unsigned_char:
-            combine_bitwise(
-                op, static_cast<unsigned char const*>(in), static_cast<unsigned char*>(inout), n);
-            break;
+            return combine_typed<unsigned char>(op, runs);
         case BuiltinType::short_:
-            combine_bitwise(op, static_cast<short const*>(in), static_cast<short*>(inout), n);
-            break;
+            return combine_typed<short>(op, runs);
         case BuiltinType::unsigned_short:
-            combine_bitwise(
-                op, static_cast<unsigned short const*>(in), static_cast<unsigned short*>(inout),
-                n);
-            break;
+            return combine_typed<unsigned short>(op, runs);
         case BuiltinType::int_:
-            combine_bitwise(op, static_cast<int const*>(in), static_cast<int*>(inout), n);
-            break;
+            return combine_typed<int>(op, runs);
         case BuiltinType::unsigned_int:
-            combine_bitwise(
-                op, static_cast<unsigned const*>(in), static_cast<unsigned*>(inout), n);
-            break;
+            return combine_typed<unsigned>(op, runs);
         case BuiltinType::long_:
-            combine_bitwise(op, static_cast<long const*>(in), static_cast<long*>(inout), n);
-            break;
+            return combine_typed<long>(op, runs);
         case BuiltinType::unsigned_long:
-            combine_bitwise(
-                op, static_cast<unsigned long const*>(in), static_cast<unsigned long*>(inout), n);
-            break;
+            return combine_typed<unsigned long>(op, runs);
         case BuiltinType::long_long:
-            combine_bitwise(
-                op, static_cast<long long const*>(in), static_cast<long long*>(inout), n);
-            break;
+            return combine_typed<long long>(op, runs);
         case BuiltinType::unsigned_long_long:
-            combine_bitwise(
-                op, static_cast<unsigned long long const*>(in),
-                static_cast<unsigned long long*>(inout), n);
-            break;
+            return combine_typed<unsigned long long>(op, runs);
         case BuiltinType::float_:
-            combine_typed(op, static_cast<float const*>(in), static_cast<float*>(inout), n);
-            break;
+            return combine_typed<float>(op, runs);
         case BuiltinType::double_:
-            combine_typed(op, static_cast<double const*>(in), static_cast<double*>(inout), n);
-            break;
+            return combine_typed<double>(op, runs);
         case BuiltinType::long_double:
-            combine_typed(
-                op, static_cast<long double const*>(in), static_cast<long double*>(inout), n);
-            break;
+            return combine_typed<long double>(op, runs);
         case BuiltinType::bool_:
-            combine_typed(op, static_cast<bool const*>(in), static_cast<bool*>(inout), n);
-            break;
+            return combine_typed<bool>(op, runs);
     }
 }
 
+[[nodiscard]] bool is_bitwise(BuiltinOp op) {
+    return op == BuiltinOp::band || op == BuiltinOp::bor || op == BuiltinOp::bxor;
+}
+
 } // namespace
+
+bool Op::accepts(Datatype const& datatype) const {
+    return !is_bitwise(builtin_) || datatype.is_integral();
+}
 
 void Op::apply(void const* in, void* inout, std::size_t count, Datatype const& datatype) const {
     if (!is_builtin()) {
@@ -145,16 +129,37 @@ void Op::apply(void const* in, void* inout, std::size_t count, Datatype const& d
         function_(const_cast<void*>(in), inout, &len, &type_handle);
         return;
     }
-    auto const* in_element = static_cast<std::byte const*>(in);
-    auto* inout_element = static_cast<std::byte*>(inout);
-    for (std::size_t i = 0; i < count; ++i) {
-        for (auto const& block: datatype.typemap()) {
-            combine_run(
-                builtin_, block.elem, in_element + block.offset, inout_element + block.offset,
-                block.count);
+    if (count == 0) {
+        return; // count-0 reductions may pass null buffers
+    }
+    auto const* in_bytes = static_cast<std::byte const*>(in);
+    auto* inout_bytes = static_cast<std::byte*>(inout);
+    std::ptrdiff_t const extent = datatype.extent();
+    auto const place = [&](ReduceRun const& run, std::ptrdiff_t shift, std::size_t elements) {
+        return Runs{in_bytes + shift + run.offset, inout_bytes + shift + run.offset, run.count,
+                    run.blocks, run.stride, elements, extent};
+    };
+    switch (datatype.reduce_layout()) {
+        case Datatype::ReduceLayout::dense: {
+            ReduceRun const& run = datatype.reduce_runs().front();
+            combine(
+                builtin_, run.elem, Runs{in_bytes, inout_bytes, count * run.count, 1, 0, 1, 0});
+            return;
         }
-        in_element += datatype.extent();
-        inout_element += datatype.extent();
+        case Datatype::ReduceLayout::block_major:
+            for (ReduceRun const& run: datatype.reduce_runs()) {
+                combine(builtin_, run.elem, place(run, 0, count));
+            }
+            return;
+        case Datatype::ReduceLayout::overlapping:
+            for (std::size_t i = 0; i < count; ++i) {
+                for (ReduceRun const& run: datatype.reduce_runs()) {
+                    combine(
+                        builtin_, run.elem,
+                        place(run, static_cast<std::ptrdiff_t>(i) * extent, 1));
+                }
+            }
+            return;
     }
 }
 
