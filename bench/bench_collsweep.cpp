@@ -34,15 +34,14 @@
 /// through tuning::select() against an existing table (the CI smoke step
 /// feeds the table emitted by a --quick run back through this mode).
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
-#include <ctime>
 #include <mutex>
 #include <string>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "xmpi/xmpi.hpp"
 
 namespace {
@@ -114,12 +113,6 @@ struct Cell {
     }
 };
 
-double thread_cpu_seconds() {
-    timespec ts{};
-    clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
-    return static_cast<double>(ts.tv_sec) + static_cast<double>(ts.tv_nsec) * 1e-9;
-}
-
 /// @brief Measures one forced candidate: rank-summed CPU, slowest-rank wall,
 /// and total messages per round.
 Measurement measure_candidate(
@@ -141,11 +134,11 @@ Measurement measure_candidate(
         XMPI_Barrier(XMPI_COMM_WORLD);
         std::uint64_t const msgs0 = xmpi::profile::my_snapshot().messages_sent;
         double const w0 = XMPI_Wtime();
-        double const c0 = thread_cpu_seconds();
+        double const c0 = bench::thread_cpu_seconds();
         for (int i = 0; i < iters; ++i) {
             pattern.round(rank, p, count, a, b);
         }
-        double const cpu = thread_cpu_seconds() - c0;
+        double const cpu = bench::thread_cpu_seconds() - c0;
         double const wall = XMPI_Wtime() - w0;
         std::uint64_t const msgs = xmpi::profile::my_snapshot().messages_sent - msgs0;
         std::lock_guard lock(merge_mutex);
@@ -181,10 +174,6 @@ std::size_t bucket_bound(std::size_t bytes, std::vector<int> const& counts, std:
         bound *= 2;
     }
     return bound;
-}
-
-std::string json_escape_free_name(std::string const& name) {
-    return name; // registry names are lower-case identifiers
 }
 
 int verify_table(char const* path, std::vector<int> const& ps, std::vector<int> const& counts) {
@@ -230,12 +219,10 @@ int verify_table(char const* path, std::vector<int> const& ps, std::vector<int> 
 } // namespace
 
 int main(int argc, char** argv) {
-    bool quick = false;
+    bool const quick = bench::Options::parse(argc, argv).quick;
     char const* verify_path = nullptr;
     for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--quick") == 0) {
-            quick = true;
-        } else if (std::strncmp(argv[i], "--verify-table=", 15) == 0) {
+        if (std::strncmp(argv[i], "--verify-table=", 15) == 0) {
             verify_path = argv[i] + 15;
         }
     }
@@ -320,30 +307,24 @@ int main(int argc, char** argv) {
     }
 
     // Emit the measured table: winner per (op, p, size bucket).
-    std::string table = "{\n  \"version\": 1,\n  \"cells\": [\n";
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-        auto const& cell = cells[i];
+    auto table_cells = bench::Json::array();
+    for (auto const& cell: cells) {
         std::size_t const index = static_cast<std::size_t>(
             std::find(counts.begin(), counts.end(), cell.count) - counts.begin());
-        char row[192];
-        std::snprintf(
-            row, sizeof row,
-            "    {\"op\": \"%s\", \"p\": %d, \"max_bytes\": %zu, \"algorithm\": \"%s\"}%s\n",
-            tuning::coll_op_name(cell.op), cell.p, bucket_bound(cell.bytes, counts, index),
-            json_escape_free_name(cell.winner().algorithm).c_str(),
-            i + 1 < cells.size() ? "," : "");
-        table += row;
+        table_cells.push(bench::Json::object()
+                             .set("op", tuning::coll_op_name(cell.op))
+                             .set("p", cell.p)
+                             .set("max_bytes", bucket_bound(cell.bytes, counts, index))
+                             .set("algorithm", cell.winner().algorithm));
     }
-    table += "  ]\n}\n";
-    if (std::FILE* file = std::fopen("tuning_table.json", "w")) {
-        std::fputs(table.c_str(), file);
-        std::fclose(file);
-    }
+    bool ok = bench::Json::object()
+                  .set("version", 1)
+                  .set("cells", std::move(table_cells))
+                  .save("tuning_table.json");
 
     // Gate 1: feed the emitted table back through selection — every measured
     // cell must resolve from the table to an algorithm no costlier than the
     // model/preference pick (the autotuner must never make things worse).
-    bool ok = true;
     if (!tuning::load_tuning_table("tuning_table.json")) {
         std::fprintf(stderr, "FAIL: emitted tuning_table.json does not load\n");
         ok = false;
@@ -400,45 +381,40 @@ int main(int argc, char** argv) {
         }
     }
 
-    std::string json = "{\n  \"benchmark\": \"collsweep\",\n";
-    json += "  \"node_size\": " + std::to_string(kNodeSize) + ",\n";
-    json += "  \"iters\": " + std::to_string(iters) + ",\n  \"cells\": [\n";
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-        auto const& cell = cells[i];
-        json += "    {\"op\": \"" + std::string(tuning::coll_op_name(cell.op))
-                + "\", \"p\": " + std::to_string(cell.p)
-                + ", \"bytes\": " + std::to_string(cell.bytes) + ",\n     \"default_pick\": \""
-                + cell.default_pick + "\", \"winner\": \"" + cell.winner().algorithm
-                + "\", \"measurements\": [\n";
-        for (std::size_t j = 0; j < cell.measured.size(); ++j) {
-            auto const& m = cell.measured[j];
-            char row[192];
-            std::snprintf(
-                row, sizeof row,
-                "      {\"algorithm\": \"%s\", \"cpu_usec\": %.2f, \"wall_usec\": %.2f, "
-                "\"msgs\": %.1f}%s\n",
-                m.algorithm.c_str(), m.cpu_usec, m.wall_usec, m.msgs,
-                j + 1 < cell.measured.size() ? "," : "");
-            json += row;
+    auto sweep = bench::Json::array();
+    for (auto const& cell: cells) {
+        auto measurements = bench::Json::array();
+        for (auto const& m: cell.measured) {
+            measurements.push(bench::Json::object()
+                                  .set("algorithm", m.algorithm)
+                                  .set("cpu_usec", bench::Json(m.cpu_usec, 2))
+                                  .set("wall_usec", bench::Json(m.wall_usec, 2))
+                                  .set("msgs", bench::Json(m.msgs, 1)));
         }
-        json += i + 1 < cells.size() ? "    ]},\n" : "    ]}\n";
+        sweep.push(bench::Json::object()
+                       .set("op", tuning::coll_op_name(cell.op))
+                       .set("p", cell.p)
+                       .set("bytes", cell.bytes)
+                       .set("default_pick", cell.default_pick)
+                       .set("winner", cell.winner().algorithm)
+                       .set("measurements", std::move(measurements)));
     }
-    {
-        char gate_row[320];
-        std::snprintf(
-            gate_row, sizeof gate_row,
-            "  ],\n  \"gate\": {\"table_driven_cells\": %zu, \"hier_msgs\": %.1f, "
-            "\"flat_msgs\": %.1f, \"hier_cpu_usec\": %.2f, \"flat_cpu_usec\": %.2f, "
-            "\"hier_cpu_budget\": %.2f, \"hier_gate_attempts\": %d, \"passed\": %s}\n}\n",
-            cells.size(), hier_msgs, flat_msgs, hier_cpu, flat_cpu, kHierCpuSlack,
-            gate2_attempts, ok ? "true" : "false");
-        json += gate_row;
-    }
-    std::printf("%s", json.c_str());
-    if (std::FILE* file = std::fopen("BENCH_collsweep.json", "w")) {
-        std::fputs(json.c_str(), file);
-        std::fclose(file);
-    }
+    ok = bench::Json::object()
+             .set("benchmark", "collsweep")
+             .set("node_size", kNodeSize)
+             .set("iters", iters)
+             .set("cells", std::move(sweep))
+             .set("gate", bench::Json::object()
+                              .set("table_driven_cells", cells.size())
+                              .set("hier_msgs", bench::Json(hier_msgs, 1))
+                              .set("flat_msgs", bench::Json(flat_msgs, 1))
+                              .set("hier_cpu_usec", bench::Json(hier_cpu, 2))
+                              .set("flat_cpu_usec", bench::Json(flat_cpu, 2))
+                              .set("hier_cpu_budget", bench::Json(kHierCpuSlack, 2))
+                              .set("hier_gate_attempts", gate2_attempts)
+                              .set("passed", ok))
+             .emit("collsweep")
+         && ok;
     if (ok) {
         std::printf(
             "all %zu cells table-driven and no table pick regresses; hier allreduce sends "

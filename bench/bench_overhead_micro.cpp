@@ -9,11 +9,11 @@
 /// reported time is per collective call.
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
 #include <cstdio>
 #include <numeric>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "kamping/kamping.hpp"
 #include "xmpi/xmpi.hpp"
 
@@ -37,34 +37,38 @@ void run_world_benchmark(benchmark::State& state, Body&& body) {
         state.iterations() * kCallsPerIteration * kWorldSize);
 }
 
+void allgatherv_handrolled(std::size_t count) {
+    int size, rank;
+    XMPI_Comm_size(XMPI_COMM_WORLD, &size);
+    XMPI_Comm_rank(XMPI_COMM_WORLD, &rank);
+    std::vector<double> const v(count, rank);
+    std::vector<int> rc(static_cast<std::size_t>(size));
+    std::vector<int> rd(static_cast<std::size_t>(size));
+    int const mine = static_cast<int>(v.size());
+    XMPI_Allgather(&mine, 1, XMPI_INT, rc.data(), 1, XMPI_INT, XMPI_COMM_WORLD);
+    std::exclusive_scan(rc.begin(), rc.end(), rd.begin(), 0);
+    std::vector<double> v_glob(static_cast<std::size_t>(rc.back() + rd.back()));
+    XMPI_Allgatherv(
+        v.data(), mine, XMPI_DOUBLE, v_glob.data(), rc.data(), rd.data(), XMPI_DOUBLE,
+        XMPI_COMM_WORLD);
+    benchmark::DoNotOptimize(v_glob.data());
+}
+
+void allgatherv_kamping(std::size_t count) {
+    kamping::Communicator comm;
+    std::vector<double> const v(count, comm.rank());
+    auto v_glob = comm.allgatherv(kamping::send_buf(v));
+    benchmark::DoNotOptimize(v_glob.data());
+}
+
 void BM_allgatherv_handrolled(benchmark::State& state) {
     std::size_t const count = static_cast<std::size_t>(state.range(0));
-    run_world_benchmark(state, [&] {
-        int size, rank;
-        XMPI_Comm_size(XMPI_COMM_WORLD, &size);
-        XMPI_Comm_rank(XMPI_COMM_WORLD, &rank);
-        std::vector<double> const v(count, rank);
-        std::vector<int> rc(static_cast<std::size_t>(size));
-        std::vector<int> rd(static_cast<std::size_t>(size));
-        int const mine = static_cast<int>(v.size());
-        XMPI_Allgather(&mine, 1, XMPI_INT, rc.data(), 1, XMPI_INT, XMPI_COMM_WORLD);
-        std::exclusive_scan(rc.begin(), rc.end(), rd.begin(), 0);
-        std::vector<double> v_glob(static_cast<std::size_t>(rc.back() + rd.back()));
-        XMPI_Allgatherv(
-            v.data(), mine, XMPI_DOUBLE, v_glob.data(), rc.data(), rd.data(), XMPI_DOUBLE,
-            XMPI_COMM_WORLD);
-        benchmark::DoNotOptimize(v_glob.data());
-    });
+    run_world_benchmark(state, [&] { allgatherv_handrolled(count); });
 }
 
 void BM_allgatherv_kamping(benchmark::State& state) {
     std::size_t const count = static_cast<std::size_t>(state.range(0));
-    run_world_benchmark(state, [&] {
-        kamping::Communicator comm;
-        std::vector<double> const v(count, comm.rank());
-        auto v_glob = comm.allgatherv(kamping::send_buf(v));
-        benchmark::DoNotOptimize(v_glob.data());
-    });
+    run_world_benchmark(state, [&] { allgatherv_kamping(count); });
 }
 
 void BM_allgatherv_kamping_counts_given(benchmark::State& state) {
@@ -199,70 +203,36 @@ BENCHMARK(BM_send_recv_handrolled);
 BENCHMARK(BM_send_recv_kamping);
 
 // ---------------------------------------------------------------------------
-// Tracing-seam overhead check: paired measurement of allgatherv hand-rolled
-// vs. KaMPIng with tracing off vs. on, dumped to BENCH_overhead.json (the
-// experiment scripts' convention). The traced-off delta is the cost of the
-// call-plan pipeline plus one relaxed atomic load per operation — the
-// paper's (near) zero-overhead claim, asserted with a generous tolerance
-// because the 2-rank world runs as threads on a shared, noisy core.
+// Tracing-seam overhead check: allgatherv hand-rolled vs. KaMPIng with
+// tracing off and on, each pair measured by bench::per_round_paired_cost
+// in one 2-rank world and dumped to BENCH_overhead.json. The traced-off
+// ratio is the cost of the call-plan pipeline plus one relaxed atomic load
+// per operation — the paper's (near) zero-overhead claim, asserted with a
+// generous tolerance because the ranks run as threads on a shared host.
 // ---------------------------------------------------------------------------
 
 constexpr std::size_t kPairedCount = 8;
 constexpr int kPairedCalls = 256;
-constexpr int kPairedRepetitions = 15;
+constexpr int kPairs = 15;
 
-/// Median per-call time in nanoseconds over repeated 2-rank worlds.
-template <typename Body>
-double paired_median_ns(Body&& body) {
-    std::vector<double> samples;
-    samples.reserve(kPairedRepetitions);
-    for (int repetition = 0; repetition < kPairedRepetitions; ++repetition) {
-        double elapsed_s = 0.0;
-        xmpi::World::run(kWorldSize, [&] {
-            int rank;
-            XMPI_Comm_rank(XMPI_COMM_WORLD, &rank);
-            XMPI_Barrier(XMPI_COMM_WORLD);
-            double const start = XMPI_Wtime();
-            for (int call = 0; call < kPairedCalls; ++call) {
-                body();
-            }
-            double const stop = XMPI_Wtime();
-            if (rank == 0) {
-                elapsed_s = stop - start;
-            }
-        });
-        samples.push_back(elapsed_s * 1e9 / kPairedCalls);
-    }
-    std::sort(samples.begin(), samples.end());
-    return samples[samples.size() / 2];
+/// @brief Paired cost of hand-rolled (A) vs. KaMPIng (B) allgatherv, one
+/// round per call, in a fresh 2-rank world.
+bench::PairedCost measure_pair() {
+    bench::PairedCost cost;
+    xmpi::World::run_ranked(kWorldSize, [&](int rank) {
+        auto const m = bench::per_round_paired_cost(
+            kPairedCalls, [] { allgatherv_handrolled(kPairedCount); },
+            [] { allgatherv_kamping(kPairedCount); }, kPairs);
+        if (rank == 0) {
+            cost = m;
+        }
+    });
+    return cost;
 }
 
-double measure_handrolled() {
-    return paired_median_ns([] {
-        int size, rank;
-        XMPI_Comm_size(XMPI_COMM_WORLD, &size);
-        XMPI_Comm_rank(XMPI_COMM_WORLD, &rank);
-        std::vector<double> const v(kPairedCount, rank);
-        std::vector<int> rc(static_cast<std::size_t>(size));
-        std::vector<int> rd(static_cast<std::size_t>(size));
-        int const mine = static_cast<int>(v.size());
-        XMPI_Allgather(&mine, 1, XMPI_INT, rc.data(), 1, XMPI_INT, XMPI_COMM_WORLD);
-        std::exclusive_scan(rc.begin(), rc.end(), rd.begin(), 0);
-        std::vector<double> v_glob(static_cast<std::size_t>(rc.back() + rd.back()));
-        XMPI_Allgatherv(
-            v.data(), mine, XMPI_DOUBLE, v_glob.data(), rc.data(), rd.data(), XMPI_DOUBLE,
-            XMPI_COMM_WORLD);
-        benchmark::DoNotOptimize(v_glob.data());
-    });
-}
-
-double measure_kamping() {
-    return paired_median_ns([] {
-        kamping::Communicator comm;
-        std::vector<double> const v(kPairedCount, comm.rank());
-        auto v_glob = comm.allgatherv(kamping::send_buf(v));
-        benchmark::DoNotOptimize(v_glob.data());
-    });
+/// @brief Per-call thread-CPU time of one rank, in nanoseconds.
+double ns_per_call(bench::RoundCost const& cost) {
+    return cost.cpu_usec * 1e3 / kWorldSize;
 }
 
 /// Traced-off vs. hand-rolled must stay within this factor (the asserted
@@ -271,49 +241,40 @@ double measure_kamping() {
 constexpr double kTracedOffTolerance = 2.0;
 
 int run_overhead_gate() {
-    double const handrolled_ns = measure_handrolled();
     kamping::tracing::disable();
-    double const traced_off_ns = measure_kamping();
+    bench::PairedCost const off = measure_pair();
     kamping::tracing::enable();
-    double const traced_on_ns = measure_kamping();
+    bench::PairedCost const on = measure_pair();
     kamping::tracing::disable();
     std::size_t const spans = xmpi::profile::take_spans().size();
 
-    double const off_ratio = traced_off_ns / handrolled_ns;
+    double const off_ratio = off.cpu_ratio();
     bool const ok = off_ratio <= kTracedOffTolerance;
     std::printf(
         "overhead gate: handrolled %.1f ns/call, kamping traced-off %.1f ns/call "
-        "(x%.3f, tolerance x%.1f), traced-on %.1f ns/call (%zu spans) -> %s\n",
-        handrolled_ns, traced_off_ns, off_ratio, kTracedOffTolerance, traced_on_ns, spans,
-        ok ? "OK" : "FAIL");
+        "(x%.3f, tolerance x%.1f), traced-on %.1f ns/call (x%.3f, %zu spans) -> %s\n",
+        ns_per_call(off.a), ns_per_call(off.b), off_ratio, kTracedOffTolerance,
+        ns_per_call(on.b), on.cpu_ratio(), spans, ok ? "OK" : "FAIL");
 
-    char json[1024];
-    std::snprintf(
-        json, sizeof(json),
-        "{\n"
-        "  \"benchmark\": \"overhead_micro\",\n"
-        "  \"world_size\": %d,\n"
-        "  \"op\": \"allgatherv\",\n"
-        "  \"count\": %zu,\n"
-        "  \"calls_per_world\": %d,\n"
-        "  \"repetitions\": %d,\n"
-        "  \"handrolled_ns_per_call\": %.1f,\n"
-        "  \"kamping_traced_off_ns_per_call\": %.1f,\n"
-        "  \"kamping_traced_on_ns_per_call\": %.1f,\n"
-        "  \"traced_off_ratio\": %.4f,\n"
-        "  \"traced_off_tolerance\": %.1f,\n"
-        "  \"traced_on_spans\": %zu,\n"
-        "  \"near_zero_overhead\": %s\n"
-        "}\n",
-        kWorldSize, kPairedCount, kPairedCalls, kPairedRepetitions, handrolled_ns,
-        traced_off_ns, traced_on_ns, off_ratio, kTracedOffTolerance, spans,
-        ok ? "true" : "false");
-    std::printf("%s", json);
-    if (std::FILE* file = std::fopen("BENCH_overhead.json", "w")) {
-        std::fputs(json, file);
-        std::fclose(file);
-    }
-    return ok ? 0 : 1;
+    bool const written = bench::Json::object()
+                             .set("benchmark", "overhead_micro")
+                             .set("world_size", kWorldSize)
+                             .set("op", "allgatherv")
+                             .set("count", kPairedCount)
+                             .set("calls_per_world", kPairedCalls)
+                             .set("repetitions", kPairs)
+                             .set("handrolled_ns_per_call", bench::Json(ns_per_call(off.a), 1))
+                             .set("kamping_traced_off_ns_per_call",
+                                  bench::Json(ns_per_call(off.b), 1))
+                             .set("kamping_traced_on_ns_per_call",
+                                  bench::Json(ns_per_call(on.b), 1))
+                             .set("traced_off_ratio", bench::Json(off_ratio, 4))
+                             .set("traced_on_ratio", bench::Json(on.cpu_ratio(), 4))
+                             .set("traced_off_tolerance", bench::Json(kTracedOffTolerance, 1))
+                             .set("traced_on_spans", spans)
+                             .set("near_zero_overhead", ok)
+                             .emit("overhead");
+    return ok && written ? 0 : 1;
 }
 
 } // namespace

@@ -16,16 +16,11 @@
 /// enforces both claims: every measured payload must favor the persistent
 /// plan, and the kamping start()/wait() round must stay within 1.01x of raw
 /// XMPI_Start (1.10x under --quick, where timing noise dominates).
-#include <algorithm>
-#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <ctime>
-#include <string>
 #include <utility>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "kamping/kamping.hpp"
 #include "xmpi/xmpi.hpp"
 
@@ -33,42 +28,17 @@ namespace {
 
 constexpr int kWorldSize = 4;
 
-struct AmortizationResult {
+/// @brief One measured configuration: A is the one-shot wrapper (or raw
+/// XMPI_Start), B the persistent kamping plan.
+struct Row {
     char const* op = "";
     int count = 0;
     int rounds = 0;
-    double oneshot_usec = 0.0;
-    double persistent_usec = 0.0;
-    double oneshot_cpu_usec = 0.0;
-    double persistent_cpu_usec = 0.0;
-    double cpu_delta_usec = 0.0; // median paired (one-shot - persistent) CPU gap
-
-    [[nodiscard]] double cpu_speedup() const {
-        return persistent_cpu_usec > 0.0 ? oneshot_cpu_usec / persistent_cpu_usec : 0.0;
-    }
+    bench::PairedCost cost;
 };
 
-struct OverheadResult {
-    int count = 0;
-    int rounds = 0;
-    double raw_usec = 0.0;
-    double plan_usec = 0.0;
-    double raw_cpu_usec = 0.0;
-    double plan_cpu_usec = 0.0;
-    double cpu_delta_usec = 0.0; // median paired (raw - plan) CPU gap
-
-    // The gated statistic: per-round thread-CPU cost of the plan relative
-    // to raw XMPI_Start, from the paired-difference median. Wall time of
-    // the same round is futex-wait dominated (non-root ranks block on the
-    // broadcast), so its ratio wobbles by several percent; paired CPU cost
-    // compares the actual work.
-    [[nodiscard]] double ratio() const {
-        return raw_cpu_usec > 0.0 ? 1.0 - cpu_delta_usec / raw_cpu_usec : 0.0;
-    }
-};
-
-std::vector<AmortizationResult> g_amortization;
-std::vector<OverheadResult> g_overhead;
+std::vector<Row> g_amortization;
+std::vector<Row> g_overhead;
 
 // Per-op gate statistics (median paired CPU deltas summed over payloads),
 // possibly from a re-measurement; see the retry loop in main().
@@ -76,94 +46,6 @@ double g_gate_bcast_delta = 0.0;
 double g_gate_allreduce_delta = 0.0;
 double g_gate_overhead_ratio = 0.0;
 int g_gate_attempts = 0;
-
-/// @brief Wall and thread-CPU cost per round of one variant.
-///
-/// Wall time of a *synchronizing* collective on an oversubscribed machine
-/// measures the scheduler — most of every round is spent futex-blocked on
-/// laggard ranks, with run-to-run swings far larger than the per-call
-/// resolution cost under test. Thread-CPU time is immune to that: blocked
-/// time does not accumulate, so the CPU column isolates the actual
-/// per-round work (resolution, allocation, packing, reduction). The
-/// amortization gate therefore compares CPU cost; wall time is reported
-/// alongside for context.
-struct RoundCost {
-    double wall_usec = 0.0;
-    double cpu_usec = 0.0;
-};
-
-double thread_cpu_seconds() {
-    timespec ts{};
-    clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
-    return static_cast<double>(ts.tv_sec) + static_cast<double>(ts.tv_nsec) * 1e-9;
-}
-
-double median_of(std::vector<double> samples) {
-    std::nth_element(samples.begin(), samples.begin() + samples.size() / 2, samples.end());
-    return samples[samples.size() / 2];
-}
-
-/// @brief Paired A/B measurement: medians per variant plus the median of
-/// the per-pair CPU differences.
-///
-/// Each of the kPairs iterations times one batch of each variant from
-/// adjacent barrier epochs (order alternating ABBA to cancel drift), so
-/// both batches of a pair see the same scheduler mood and their CPU
-/// difference isolates the systematic per-round cost gap. The CPU samples
-/// are rank-summed — every rank pays the per-call resolution under test,
-/// so aggregating quadruples the signal while per-rank noise averages out.
-/// The gate consumes the *median of paired differences*, the standard
-/// noise-robust statistic for a small persistent effect under heavy
-/// common-mode noise.
-struct PairedMeasurement {
-    RoundCost a;
-    RoundCost b;
-    double cpu_delta_usec = 0.0; // median of (a - b) paired CPU differences
-};
-
-template <typename RoundA, typename RoundB>
-PairedMeasurement per_round_paired_cost(
-    kamping::Communicator const& comm, int rounds, RoundA&& round_a, RoundB&& round_b,
-    int pairs = 15) {
-    int const kPairs = pairs;
-    auto const timed_batch = [&](auto& round, double& wall_usec) {
-        comm.barrier();
-        double const w0 = XMPI_Wtime();
-        double const c0 = thread_cpu_seconds();
-        for (int i = 0; i < rounds; ++i) {
-            round();
-        }
-        double const cpu = thread_cpu_seconds() - c0;
-        wall_usec = (XMPI_Wtime() - w0) * 1e6 / rounds;
-        return cpu * 1e6 / rounds;
-    };
-    comm.barrier();
-    for (int i = 0; i < 4; ++i) { // warmup: fault in both paths
-        round_a();
-        round_b();
-    }
-    std::vector<double> cpu_a(kPairs), cpu_b(kPairs), wall_a(kPairs), wall_b(kPairs);
-    for (int pair = 0; pair < kPairs; ++pair) {
-        if (pair % 2 == 0) {
-            cpu_a[pair] = timed_batch(round_a, wall_a[pair]);
-            cpu_b[pair] = timed_batch(round_b, wall_b[pair]);
-        } else {
-            cpu_b[pair] = timed_batch(round_b, wall_b[pair]);
-            cpu_a[pair] = timed_batch(round_a, wall_a[pair]);
-        }
-    }
-    XMPI_Allreduce(XMPI_IN_PLACE, cpu_a.data(), kPairs, XMPI_DOUBLE, XMPI_SUM, XMPI_COMM_WORLD);
-    XMPI_Allreduce(XMPI_IN_PLACE, cpu_b.data(), kPairs, XMPI_DOUBLE, XMPI_SUM, XMPI_COMM_WORLD);
-    std::vector<double> delta(kPairs);
-    for (int pair = 0; pair < kPairs; ++pair) {
-        delta[pair] = cpu_a[pair] - cpu_b[pair];
-    }
-    PairedMeasurement m;
-    m.a = {median_of(wall_a), median_of(cpu_a)};
-    m.b = {median_of(wall_b), median_of(cpu_b)};
-    m.cpu_delta_usec = median_of(delta);
-    return m;
-}
 
 double bench_bcast_amortization(
     kamping::Communicator const& comm, int count, int rounds, bool record) {
@@ -180,18 +62,15 @@ double bench_bcast_amortization(
     std::vector<int> bound(static_cast<std::size_t>(count), rank == 0 ? 1 : 0);
     auto plan = comm.bcast_plan(send_recv_buf(std::move(bound)));
 
-    auto const m = per_round_paired_cost(
-        comm, rounds,
-        [&] { data = comm.bcast(send_recv_buf(std::move(data))); },
+    auto const m = bench::per_round_paired_cost(
+        rounds, [&] { data = comm.bcast(send_recv_buf(std::move(data))); },
         [&] {
             plan.start();
             plan.wait();
         });
 
     if (record && rank == 0) {
-        g_amortization.push_back(
-            {"bcast", count, rounds, m.a.wall_usec, m.b.wall_usec, m.a.cpu_usec, m.b.cpu_usec,
-             m.cpu_delta_usec});
+        g_amortization.push_back({"bcast", count, rounds, m});
     }
     return m.cpu_delta_usec;
 }
@@ -205,8 +84,8 @@ double bench_allreduce_amortization(
     std::vector<int> bound(static_cast<std::size_t>(count), rank);
     auto plan = comm.allreduce_plan(send_recv_buf(std::move(bound)), kamping::op(std::plus<>{}));
 
-    auto const m = per_round_paired_cost(
-        comm, rounds,
+    auto const m = bench::per_round_paired_cost(
+        rounds,
         [&] {
             // The one-shot wrapper allocates and returns a fresh result
             // buffer per call.
@@ -219,9 +98,7 @@ double bench_allreduce_amortization(
         });
 
     if (record && rank == 0) {
-        g_amortization.push_back(
-            {"allreduce", count, rounds, m.a.wall_usec, m.b.wall_usec, m.a.cpu_usec,
-             m.b.cpu_usec, m.cpu_delta_usec});
+        g_amortization.push_back({"allreduce", count, rounds, m});
     }
     return m.cpu_delta_usec;
 }
@@ -242,8 +119,8 @@ double bench_start_overhead(
 
     // Overhead rounds are cheap, so afford twice the pairs: the gated
     // statistic is a median over pairs, and more pairs tighten it.
-    auto const m = per_round_paired_cost(
-        comm, rounds,
+    auto const m = bench::per_round_paired_cost(
+        rounds,
         [&] {
             XMPI_Start(&request);
             XMPI_Wait(&request, XMPI_STATUS_IGNORE);
@@ -262,46 +139,43 @@ double bench_start_overhead(
     // per_round_paired_cost, so the ratio is identical on every rank — the
     // retry decision in main() must be collective.
     if (record && rank == 0) {
-        g_overhead.push_back(
-            {count, rounds, m.a.wall_usec, m.b.wall_usec, m.a.cpu_usec, m.b.cpu_usec,
-             m.cpu_delta_usec});
+        g_overhead.push_back({"bcast", count, rounds, m});
     }
-    return m.a.cpu_usec > 0.0 ? 1.0 - m.cpu_delta_usec / m.a.cpu_usec : 0.0;
+    return m.cpu_ratio();
 }
 
-std::string to_json(AmortizationResult const& r) {
-    char buffer[320];
-    std::snprintf(
-        buffer, sizeof buffer,
-        "    {\"op\": \"%s\", \"count\": %d, \"rounds\": %d, \"oneshot_usec\": %.3f, "
-        "\"persistent_usec\": %.3f, \"oneshot_cpu_usec\": %.3f, \"persistent_cpu_usec\": %.3f, "
-        "\"cpu_delta_usec\": %.3f, \"cpu_speedup\": %.3f}",
-        r.op, r.count, r.rounds, r.oneshot_usec, r.persistent_usec, r.oneshot_cpu_usec,
-        r.persistent_cpu_usec, r.cpu_delta_usec, r.cpu_speedup());
-    return buffer;
+bench::Json amortization_json(Row const& r) {
+    auto const& c = r.cost;
+    double const speedup = c.b.cpu_usec > 0.0 ? c.a.cpu_usec / c.b.cpu_usec : 0.0;
+    return bench::Json::object()
+        .set("op", r.op)
+        .set("count", r.count)
+        .set("rounds", r.rounds)
+        .set("oneshot_usec", c.a.wall_usec)
+        .set("persistent_usec", c.b.wall_usec)
+        .set("oneshot_cpu_usec", c.a.cpu_usec)
+        .set("persistent_cpu_usec", c.b.cpu_usec)
+        .set("cpu_delta_usec", c.cpu_delta_usec)
+        .set("cpu_speedup", speedup);
 }
 
-std::string to_json(OverheadResult const& r) {
-    char buffer[320];
-    std::snprintf(
-        buffer, sizeof buffer,
-        "    {\"count\": %d, \"rounds\": %d, \"raw_usec\": %.3f, \"plan_usec\": %.3f, "
-        "\"raw_cpu_usec\": %.3f, \"plan_cpu_usec\": %.3f, \"cpu_delta_usec\": %.3f, "
-        "\"cpu_ratio\": %.4f}",
-        r.count, r.rounds, r.raw_usec, r.plan_usec, r.raw_cpu_usec, r.plan_cpu_usec,
-        r.cpu_delta_usec, r.ratio());
-    return buffer;
+bench::Json overhead_json(Row const& r) {
+    auto const& c = r.cost;
+    return bench::Json::object()
+        .set("count", r.count)
+        .set("rounds", r.rounds)
+        .set("raw_usec", c.a.wall_usec)
+        .set("plan_usec", c.b.wall_usec)
+        .set("raw_cpu_usec", c.a.cpu_usec)
+        .set("plan_cpu_usec", c.b.cpu_usec)
+        .set("cpu_delta_usec", c.cpu_delta_usec)
+        .set("cpu_ratio", bench::Json(c.cpu_ratio(), 4));
 }
 
 } // namespace
 
 int main(int argc, char** argv) {
-    bool quick = false;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--quick") == 0) {
-            quick = true;
-        }
-    }
+    bool const quick = bench::Options::parse(argc, argv).quick;
     int const rounds = quick ? 150 : 400;
     // Gate 2 threshold: the kamping plan's start()/wait() round must track
     // raw XMPI_Start within 1%. Quick runs loosen the gate: at 150 rounds
@@ -362,34 +236,25 @@ int main(int argc, char** argv) {
         }
     });
 
-    std::string json = "{\n  \"benchmark\": \"persistent\",\n";
-    json += "  \"world_size\": " + std::to_string(kWorldSize) + ",\n";
-    json += "  \"amortization\": [\n";
-    for (std::size_t i = 0; i < g_amortization.size(); ++i) {
-        json += to_json(g_amortization[i]);
-        json += i + 1 < g_amortization.size() ? ",\n" : "\n";
+    auto amortization = bench::Json::array();
+    for (auto const& row: g_amortization) {
+        amortization.push(amortization_json(row));
     }
-    json += "  ],\n  \"start_overhead\": [\n";
-    for (std::size_t i = 0; i < g_overhead.size(); ++i) {
-        json += to_json(g_overhead[i]);
-        json += i + 1 < g_overhead.size() ? ",\n" : "\n";
+    auto start_overhead = bench::Json::array();
+    for (auto const& row: g_overhead) {
+        start_overhead.push(overhead_json(row));
     }
-    {
-        char gate_row[224];
-        std::snprintf(
-            gate_row, sizeof gate_row,
-            "  ],\n  \"gate\": {\"bcast_cpu_delta_usec\": %.3f, "
-            "\"allreduce_cpu_delta_usec\": %.3f, \"start_overhead_ratio\": %.4f, "
-            "\"measurement_sweeps\": %d}\n}\n",
-            g_gate_bcast_delta, g_gate_allreduce_delta, g_gate_overhead_ratio,
-            g_gate_attempts);
-        json += gate_row;
-    }
-    std::printf("%s", json.c_str());
-    if (std::FILE* file = std::fopen("BENCH_persistent.json", "w")) {
-        std::fputs(json.c_str(), file);
-        std::fclose(file);
-    }
+    bench::Json::object()
+        .set("benchmark", "persistent")
+        .set("world_size", kWorldSize)
+        .set("amortization", std::move(amortization))
+        .set("start_overhead", std::move(start_overhead))
+        .set("gate", bench::Json::object()
+                         .set("bcast_cpu_delta_usec", g_gate_bcast_delta)
+                         .set("allreduce_cpu_delta_usec", g_gate_allreduce_delta)
+                         .set("start_overhead_ratio", bench::Json(g_gate_overhead_ratio, 4))
+                         .set("measurement_sweeps", g_gate_attempts))
+        .emit("persistent");
 
     // Gate 1: per operation, summed over the measured small payloads, the
     // persistent plan must beat the one-shot wrapper (the amortization

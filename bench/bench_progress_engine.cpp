@@ -1,38 +1,46 @@
 /// @file bench_progress_engine.cpp
 /// @brief Progress-engine scaling benchmark: N concurrent non-blocking
-/// allreduces through the shared worker pool versus the retired
-/// thread-per-request design (emulated by spawning one helper thread per
-/// operation that runs the blocking form on the operation's communicator).
+/// allreduces through the shared worker pool, against the same N allreduces
+/// run blocking, one after the other, on the same communicators.
 ///
 /// Two measurements per concurrency level:
-///   - completion latency: initiate N operations, complete them all, p50
-///     over repetitions (for the baseline this includes thread create/join,
-///     which *was* the initiation/completion cost of the old design),
+///   - completion latency: one round initiates N XMPI_Iallreduce and
+///     completes them with XMPI_Waitall; the blocking round runs N
+///     XMPI_Allreduce. Both are measured by bench::per_round_paired_cost
+///     (paired batches in ABBA order); the medians of the per-round wall
+///     time are reported as engine_usec_p50 and blocking_usec_p50,
 ///   - peak live threads while all N operations are in flight (Linux,
-///     /proc/self/status). The baseline is gated so every helper thread
-///     exists simultaneously — the steady state of an application that
-///     initiates its window before any peer arrives; the engine is sampled
-///     mid-flight with no gate (queued tasks are the whole point).
+///     /proc/self/status), sampled in separate census rounds so the
+///     /proc read never lands inside a timed round.
 ///
 /// Results are printed and written to BENCH_progress.json. Exit status
-/// enforces the engine's headline claims at the largest measured level
-/// (>= 5x fewer threads than thread-per-request) and at 1 in-flight op
-/// (no completion-latency regression).
-#include <algorithm>
-#include <atomic>
-#include <condition_variable>
+/// enforces the engine's two claims:
+///   - threads: at every level the process holds at most the main thread,
+///     one thread per rank, the pool, and the temporary workers the stall
+///     valve grew (engine_stall_escalations) — N in-flight operations cost
+///     O(pool) threads, not N,
+///   - single-op latency: at 1 in-flight op, Iallreduce + Wait completes
+///     within kSingleOpFactor x the blocking allreduce on the same
+///     communicator, and never above kSingleOpCeilingUsec (the engine's
+///     handoff cost, bounded).
 #include <cstdio>
-#include <cstring>
-#include <mutex>
-#include <string>
-#include <thread>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "xmpi/xmpi.hpp"
 
 namespace {
 
 constexpr int kWorldSize = 4;
+
+/// Single-op latency bound: min(kSingleOpCeilingUsec, kSingleOpFactor x
+/// the blocking round). In 40 --quick runs on a 4-vCPU host the engine
+/// round took 73-177 us while the blocking round sat at either 3.5-5.7 us
+/// or 27-73 us, depending on the world; the factor clears the largest
+/// engine/blocking ratio of the fast mode (25x) by 1.6x, and the ceiling
+/// keeps the slow mode from loosening the bound past 200 us.
+constexpr double kSingleOpFactor = 40.0;
+constexpr double kSingleOpCeilingUsec = 200.0;
 
 long live_thread_count() {
 #ifdef __linux__
@@ -54,68 +62,78 @@ long live_thread_count() {
 #endif
 }
 
+struct Level {
+    int concurrency;
+    int rounds; ///< rounds per timed batch
+    int pairs;  ///< paired batches
+};
+
 struct LevelResult {
-    int concurrency = 0;
-    int reps = 0;
-    double engine_usec_p50 = 0.0;
-    double baseline_usec_p50 = 0.0;
+    Level level{};
+    bench::PairedCost cost;            ///< A = engine, B = blocking
     long engine_peak_threads = 0;
-    long baseline_peak_threads = 0;
-    xmpi::profile::Snapshot counters; ///< every rank's counters, summed
+    xmpi::profile::Snapshot counters;  ///< every rank's counters, summed
     std::uint64_t queue_depth_max = 0; ///< max over ranks, not the sum
 
-    [[nodiscard]] double thread_reduction() const {
-        return engine_peak_threads == 0
-                   ? 0.0
-                   : static_cast<double>(baseline_peak_threads)
-                         / static_cast<double>(engine_peak_threads);
+    [[nodiscard]] double single_op_bound_usec() const {
+        return std::min(kSingleOpCeilingUsec, kSingleOpFactor * cost.b.wall_usec);
+    }
+
+    /// Main thread + rank threads + pool + stall-valve workers.
+    [[nodiscard]] long thread_bound() const {
+        return 1 + kWorldSize + static_cast<long>(xmpi::progress::default_thread_count())
+               + static_cast<long>(counters.engine_stall_escalations);
     }
 };
 
-double p50(std::vector<double> samples) {
-    if (samples.empty()) {
-        return 0.0;
-    }
-    std::sort(samples.begin(), samples.end());
-    return samples[samples.size() / 2];
-}
-
-/// @brief Engine mode: N concurrent XMPI_Iallreduce (one per dup'd
-/// communicator), completed with Waitall. Also collects the engine counters
-/// summed over all ranks and the mid-flight thread count.
-void run_engine(int concurrency, int warmup, int reps, LevelResult& out) {
-    std::vector<double> batch_s;
-    long peak_threads = 0;
+/// @brief One concurrency level: N concurrent XMPI_Iallreduce (one per
+/// dup'd communicator) completed with Waitall, paired against N blocking
+/// XMPI_Allreduce on the same communicators. Also collects the engine
+/// counters summed over all ranks and the mid-flight thread count.
+LevelResult run_level(Level const& level) {
+    constexpr int kCensusRounds = 3;
+    LevelResult out;
+    out.level = level;
+    auto const n = static_cast<std::size_t>(level.concurrency);
     xmpi::World::run_ranked(kWorldSize, [&](int rank) {
-        std::vector<XMPI_Comm> comms(static_cast<std::size_t>(concurrency));
+        std::vector<XMPI_Comm> comms(n);
         for (auto& comm: comms) {
             XMPI_Comm_dup(XMPI_COMM_WORLD, &comm);
         }
-        std::vector<int> send(static_cast<std::size_t>(concurrency), rank + 1);
-        std::vector<int> recv(static_cast<std::size_t>(concurrency), 0);
-        std::vector<XMPI_Request> requests(static_cast<std::size_t>(concurrency));
-
-        for (int rep = 0; rep < warmup + reps; ++rep) {
-            XMPI_Barrier(XMPI_COMM_WORLD);
-            double const start = XMPI_Wtime();
-            for (int i = 0; i < concurrency; ++i) {
-                auto const slot = static_cast<std::size_t>(i);
+        std::vector<int> send(n, rank + 1);
+        std::vector<int> recv(n, 0);
+        std::vector<XMPI_Request> requests(n);
+        auto const initiate = [&] {
+            for (std::size_t i = 0; i < n; ++i) {
                 XMPI_Iallreduce(
-                    &send[slot], &recv[slot], 1, XMPI_INT, XMPI_SUM, comms[slot],
-                    &requests[slot]);
+                    &send[i], &recv[i], 1, XMPI_INT, XMPI_SUM, comms[i], &requests[i]);
             }
-            if (rank == 0) {
-                peak_threads = std::max(peak_threads, live_thread_count());
-            }
-            XMPI_Waitall(concurrency, requests.data(), XMPI_STATUSES_IGNORE);
+        };
+
+        for (int census = 0; census < kCensusRounds; ++census) {
             XMPI_Barrier(XMPI_COMM_WORLD);
-            if (rank == 0 && rep >= warmup) {
-                batch_s.push_back(XMPI_Wtime() - start);
+            initiate();
+            if (rank == 0) {
+                out.engine_peak_threads = std::max(out.engine_peak_threads, live_thread_count());
             }
+            XMPI_Waitall(level.concurrency, requests.data(), XMPI_STATUSES_IGNORE);
         }
+        auto const cost = bench::per_round_paired_cost(
+            level.rounds,
+            [&] {
+                initiate();
+                XMPI_Waitall(level.concurrency, requests.data(), XMPI_STATUSES_IGNORE);
+            },
+            [&] {
+                for (std::size_t i = 0; i < n; ++i) {
+                    XMPI_Allreduce(&send[i], &recv[i], 1, XMPI_INT, XMPI_SUM, comms[i]);
+                }
+            },
+            level.pairs);
 
         XMPI_Barrier(XMPI_COMM_WORLD);
         if (rank == 0) {
+            out.cost = cost;
             for (int r = 0; r < kWorldSize; ++r) {
                 auto const snapshot = xmpi::profile::snapshot_of(r);
                 out.counters += snapshot;
@@ -127,182 +145,72 @@ void run_engine(int concurrency, int warmup, int reps, LevelResult& out) {
             XMPI_Comm_free(&comm);
         }
     });
-    out.engine_usec_p50 = p50(batch_s) * 1e6;
-    out.engine_peak_threads = peak_threads;
+    return out;
 }
 
-/// @brief Thread-per-request baseline: one std::thread per operation running
-/// the blocking allreduce under the initiating rank's context — what the
-/// retired thread-per-request design did for every Icollective.
-void run_baseline(int concurrency, int warmup, int reps, LevelResult& out) {
-    std::vector<double> batch_s;
-    long peak_threads = 0;
-
-    // Gate for the thread-census pass: helpers hold until released, so all
-    // world_size * concurrency of them exist at the sampling point.
-    std::mutex gate_mutex;
-    std::condition_variable gate_cv;
-    bool gate_open = false;
-
-    xmpi::World::run_ranked(kWorldSize, [&](int rank) {
-        std::vector<XMPI_Comm> comms(static_cast<std::size_t>(concurrency));
-        for (auto& comm: comms) {
-            XMPI_Comm_dup(XMPI_COMM_WORLD, &comm);
-        }
-        std::vector<int> send(static_cast<std::size_t>(concurrency), rank + 1);
-        std::vector<int> recv(static_cast<std::size_t>(concurrency), 0);
-        auto const ctx = xmpi::detail::current_context();
-
-        auto const spawn = [&](int i, bool gated) {
-            auto const slot = static_cast<std::size_t>(i);
-            return std::thread([&, slot, gated] {
-                xmpi::detail::current_context() = ctx;
-                if (gated) {
-                    std::unique_lock lock(gate_mutex);
-                    gate_cv.wait(lock, [&] { return gate_open; });
-                }
-                XMPI_Allreduce(
-                    &send[slot], &recv[slot], 1, XMPI_INT, XMPI_SUM, comms[slot]);
-            });
-        };
-
-        // Latency passes: ungated, spawn + complete-all, like a window of
-        // initiations followed by a Waitall under the old design.
-        for (int rep = 0; rep < warmup + reps; ++rep) {
-            XMPI_Barrier(XMPI_COMM_WORLD);
-            double const start = XMPI_Wtime();
-            std::vector<std::thread> helpers;
-            helpers.reserve(static_cast<std::size_t>(concurrency));
-            for (int i = 0; i < concurrency; ++i) {
-                helpers.push_back(spawn(i, /*gated=*/false));
-            }
-            for (auto& helper: helpers) {
-                helper.join();
-            }
-            XMPI_Barrier(XMPI_COMM_WORLD);
-            if (rank == 0 && rep >= warmup) {
-                batch_s.push_back(XMPI_Wtime() - start);
-            }
-        }
-
-        // Thread-census pass: every helper exists before any completes.
-        {
-            std::vector<std::thread> helpers;
-            helpers.reserve(static_cast<std::size_t>(concurrency));
-            for (int i = 0; i < concurrency; ++i) {
-                helpers.push_back(spawn(i, /*gated=*/true));
-            }
-            XMPI_Barrier(XMPI_COMM_WORLD);
-            if (rank == 0) {
-                peak_threads = std::max(peak_threads, live_thread_count());
-                std::lock_guard lock(gate_mutex);
-                gate_open = true;
-            }
-            gate_cv.notify_all();
-            for (auto& helper: helpers) {
-                helper.join();
-            }
-        }
-
-        for (auto& comm: comms) {
-            XMPI_Comm_free(&comm);
-        }
-    });
-    out.baseline_usec_p50 = p50(batch_s) * 1e6;
-    out.baseline_peak_threads = peak_threads;
-}
-
-std::string to_json(LevelResult const& r) {
-    char buffer[512];
-    std::snprintf(
-        buffer, sizeof(buffer),
-        "    {\"concurrency\": %d, \"reps\": %d, \"engine_usec_p50\": %.2f, "
-        "\"baseline_usec_p50\": %.2f, \"engine_peak_threads\": %ld, "
-        "\"baseline_peak_threads\": %ld, \"thread_reduction\": %.1f, "
-        "\"engine_tasks\": %llu, \"inline_fallbacks\": %llu, "
-        "\"queue_depth_max\": %llu, \"caller_steals\": %llu}",
-        r.concurrency, r.reps, r.engine_usec_p50, r.baseline_usec_p50, r.engine_peak_threads,
-        r.baseline_peak_threads, r.thread_reduction(),
-        static_cast<unsigned long long>(r.counters.engine_tasks),
-        static_cast<unsigned long long>(r.counters.engine_inline_fallbacks),
-        static_cast<unsigned long long>(r.queue_depth_max),
-        static_cast<unsigned long long>(r.counters.engine_caller_steals));
-    return buffer;
+bench::Json to_json(LevelResult const& r) {
+    return bench::Json::object()
+        .set("concurrency", r.level.concurrency)
+        .set("reps", r.level.rounds)
+        .set("pairs", r.level.pairs)
+        .set("engine_usec_p50", bench::Json(r.cost.a.wall_usec, 2))
+        .set("blocking_usec_p50", bench::Json(r.cost.b.wall_usec, 2))
+        .set("engine_peak_threads", r.engine_peak_threads)
+        .set("thread_bound", r.thread_bound())
+        .set("latency_bound_usec", bench::Json(r.single_op_bound_usec(), 2))
+        .set("engine_tasks", r.counters.engine_tasks)
+        .set("inline_fallbacks", r.counters.engine_inline_fallbacks)
+        .set("queue_depth_max", r.queue_depth_max)
+        .set("caller_steals", r.counters.engine_caller_steals)
+        .set("stall_escalations", r.counters.engine_stall_escalations);
 }
 
 } // namespace
 
 int main(int argc, char** argv) {
-    bool quick = false;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--quick") == 0) {
-            quick = true;
-        }
-    }
-
-    struct Level {
-        int concurrency;
-        int warmup;
-        int reps;
-    };
-    std::vector<Level> levels = quick
-                                    ? std::vector<Level>{{1, 5, 50}, {8, 2, 20}, {64, 1, 5}}
-                                    : std::vector<Level>{
-                                          {1, 20, 200}, {8, 5, 50}, {64, 2, 20}, {512, 1, 3}};
+    bool const quick = bench::Options::parse(argc, argv).quick;
+    std::vector<Level> const levels =
+        quick ? std::vector<Level>{{1, 20, 15}, {8, 5, 9}, {64, 1, 5}}
+              : std::vector<Level>{{1, 50, 31}, {8, 10, 15}, {64, 2, 9}, {512, 1, 5}};
 
     std::printf(
-        "%6s %8s %14s %16s %10s %12s %10s\n", "conc", "reps", "engine p50/us",
-        "baseline p50/us", "eng thr", "base thr", "reduction");
+        "%6s %8s %14s %16s %10s %10s\n", "conc", "rounds", "engine p50/us", "blocking p50/us",
+        "eng thr", "bound");
     std::vector<LevelResult> results;
     for (auto const& level: levels) {
-        LevelResult result;
-        result.concurrency = level.concurrency;
-        result.reps = level.reps;
-        run_engine(level.concurrency, level.warmup, level.reps, result);
-        run_baseline(level.concurrency, level.warmup, level.reps, result);
+        results.push_back(run_level(level));
+        auto const& r = results.back();
         std::printf(
-            "%6d %8d %14.2f %16.2f %10ld %12ld %9.1fx\n", result.concurrency, result.reps,
-            result.engine_usec_p50, result.baseline_usec_p50, result.engine_peak_threads,
-            result.baseline_peak_threads, result.thread_reduction());
-        results.push_back(result);
+            "%6d %8d %14.2f %16.2f %10ld %10ld\n", level.concurrency, level.rounds,
+            r.cost.a.wall_usec, r.cost.b.wall_usec, r.engine_peak_threads, r.thread_bound());
     }
 
-    std::string json = "{\n  \"benchmark\": \"progress_engine\",\n";
-    json += "  \"world_size\": " + std::to_string(kWorldSize) + ",\n";
-    json += "  \"pool_threads\": "
-            + std::to_string(xmpi::progress::default_thread_count()) + ",\n";
-    json += "  \"results\": [\n";
-    for (std::size_t i = 0; i < results.size(); ++i) {
-        json += to_json(results[i]);
-        json += i + 1 < results.size() ? ",\n" : "\n";
-    }
-    json += "  ]\n}\n";
-    std::printf("\n%s", json.c_str());
-    if (std::FILE* file = std::fopen("BENCH_progress.json", "w")) {
-        std::fputs(json.c_str(), file);
-        std::fclose(file);
-    }
-
-    bool ok = true;
+    auto rows = bench::Json::array();
     for (auto const& result: results) {
-        // The headline claim, checked at the largest level with a census
-        // (>= 64 in-flight): the engine holds >= 5x fewer threads than
-        // thread-per-request. Skipped where /proc is unavailable.
-        if (result.concurrency >= 64 && result.baseline_peak_threads > 0
-            && result.thread_reduction() < 5.0) {
+        rows.push(to_json(result));
+    }
+    std::printf("\n");
+    bool ok = bench::Json::object()
+                  .set("benchmark", "progress_engine")
+                  .set("world_size", kWorldSize)
+                  .set("pool_threads", xmpi::progress::default_thread_count())
+                  .set("results", std::move(rows))
+                  .emit("progress");
+
+    for (auto const& r: results) {
+        // O(pool) threads at every level (skipped where /proc is unavailable).
+        if (r.engine_peak_threads > r.thread_bound()) {
             std::fprintf(
-                stderr, "FAIL: thread reduction %.1fx < 5x at %d in-flight ops\n",
-                result.thread_reduction(), result.concurrency);
+                stderr, "FAIL: %ld live threads at %d in-flight ops (bound %ld)\n",
+                r.engine_peak_threads, r.level.concurrency, r.thread_bound());
             ok = false;
         }
-        // No latency regression for a single non-blocking op: the engine
-        // completes it at worst 1.5x the thread-per-request baseline (an
-        // absolute floor absorbs scheduler noise on small machines).
-        if (result.concurrency == 1 && result.engine_usec_p50 > 200.0
-            && result.engine_usec_p50 > 1.5 * result.baseline_usec_p50) {
+        // The engine's handoff cost for a single non-blocking op stays
+        // bounded against the blocking call it replaces.
+        if (r.level.concurrency == 1 && r.cost.a.wall_usec > r.single_op_bound_usec()) {
             std::fprintf(
-                stderr, "FAIL: 1-op completion %.2fus vs baseline %.2fus (> 1.5x)\n",
-                result.engine_usec_p50, result.baseline_usec_p50);
+                stderr, "FAIL: 1-op completion %.2fus vs blocking %.2fus (bound %.2fus)\n",
+                r.cost.a.wall_usec, r.cost.b.wall_usec, r.single_op_bound_usec());
             ok = false;
         }
     }

@@ -8,14 +8,14 @@
 ///
 /// Results are printed as a table and written to BENCH_rma.json. The
 /// process exits non-zero if the binding overhead exceeds the budget (3%
-/// in a full run, best-of-N to shed scheduler noise; looser under --quick
-/// where rounds are too small for a stable ratio).
-#include <algorithm>
+/// in a full run; looser under --quick where batches are too small for a
+/// stable ratio). Both loops run in one world, paired batch by batch in
+/// ABBA order (bench::per_round_paired_cost), so neither pays the warm-up
+/// alone.
 #include <cstdio>
-#include <cstring>
-#include <string>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "kamping/kamping.hpp"
 #include "xmpi/profile.hpp"
 #include "xmpi/xmpi.hpp"
@@ -135,100 +135,59 @@ double run_fence_latency(int world_size, int warmup, int rounds) {
     return usec;
 }
 
-/// @brief Per-call cost of a small contiguous put, raw XMPI vs the kamping
-/// named-parameter binding. Both queue the same zero-copy reference and are
-/// drained by the same closing fence; the measured delta is exactly the
-/// binding scaffolding (plan construction, parameter resolution).
-struct Overhead {
-    double raw_usec_per_put = 0.0;
-    double kamping_usec_per_put = 0.0;
-
-    [[nodiscard]] double ratio() const {
-        return raw_usec_per_put == 0.0 ? 1.0 : kamping_usec_per_put / raw_usec_per_put;
-    }
-};
-
-Overhead run_overhead(std::size_t elements, int puts_per_epoch, int epochs, int repetitions) {
-    Overhead result;
-    double raw_best = 0.0;
-    double kamping_best = 0.0;
+/// @brief Per-epoch cost of small contiguous puts, raw XMPI (A) vs the
+/// kamping named-parameter binding (B): each round is @c puts_per_epoch
+/// puts to the peer and the closing fence. Both forms put into the same
+/// window (the raw loop uses its XMPI_Win handle), queue the same zero-copy
+/// reference and are drained by the same fence, so the paired delta is
+/// exactly the binding scaffolding (plan construction, parameter
+/// resolution) and no per-window placement effect.
+bench::PairedCost run_overhead(std::size_t elements, int puts_per_epoch, int epochs, int pairs) {
+    bench::PairedCost cost;
     xmpi::World::run_ranked(2, [&](int rank) {
         std::vector<int> window_mem(elements, 0);
         std::vector<int> origin(elements, rank);
         int const n = static_cast<int>(elements);
         int const peer = 1 - rank;
+        kamping::Communicator comm;
+        auto win = comm.win_create(window_mem);
+        XMPI_Win const raw = win.mpi_win();
+        win.fence();
 
-        // Raw transport loop.
-        double raw = -1.0;
-        {
-            XMPI_Win win = XMPI_WIN_NULL;
-            XMPI_Win_create(
-                window_mem.data(), static_cast<XMPI_Aint>(elements * sizeof(int)),
-                sizeof(int), XMPI_COMM_WORLD, &win);
-            XMPI_Win_fence(0, win);
-            for (int r = 0; r < repetitions; ++r) {
-                XMPI_Barrier(XMPI_COMM_WORLD);
-                double const start = XMPI_Wtime();
-                for (int e = 0; e < epochs; ++e) {
-                    for (int i = 0; i < puts_per_epoch; ++i) {
-                        XMPI_Put(origin.data(), n, XMPI_INT, peer, 0, n, XMPI_INT, win);
-                    }
-                    XMPI_Win_fence(0, win);
+        auto const m = bench::per_round_paired_cost(
+            epochs,
+            [&] {
+                for (int i = 0; i < puts_per_epoch; ++i) {
+                    XMPI_Put(origin.data(), n, XMPI_INT, peer, 0, n, XMPI_INT, raw);
                 }
-                double const elapsed = XMPI_Wtime() - start;
-                raw = (raw < 0.0 || elapsed < raw) ? elapsed : raw; // best-of-N
-            }
-            XMPI_Win_free(&win);
-        }
-
-        // Binding loop: identical schedule through Window<int>::put.
-        double kamping_time = -1.0;
-        {
-            kamping::Communicator comm;
-            auto win = comm.win_create(window_mem);
-            win.fence();
-            for (int r = 0; r < repetitions; ++r) {
-                XMPI_Barrier(XMPI_COMM_WORLD);
-                double const start = XMPI_Wtime();
-                for (int e = 0; e < epochs; ++e) {
-                    for (int i = 0; i < puts_per_epoch; ++i) {
-                        win.put(kamping::send_buf(origin), kamping::target_rank(peer));
-                    }
-                    win.fence();
+                XMPI_Win_fence(0, raw);
+            },
+            [&] {
+                for (int i = 0; i < puts_per_epoch; ++i) {
+                    win.put(kamping::send_buf(origin), kamping::target_rank(peer));
                 }
-                double const elapsed = XMPI_Wtime() - start;
-                kamping_time =
-                    (kamping_time < 0.0 || elapsed < kamping_time) ? elapsed : kamping_time;
-            }
-            win.free();
-        }
+                win.fence();
+            },
+            pairs);
+        win.free();
         if (rank == 0) {
-            double const calls = static_cast<double>(epochs) * puts_per_epoch;
-            raw_best = raw / calls * 1e6;
-            kamping_best = kamping_time / calls * 1e6;
+            cost = m;
         }
     });
-    result.raw_usec_per_put = raw_best;
-    result.kamping_usec_per_put = kamping_best;
-    return result;
+    return cost;
 }
 
 } // namespace
 
 int main(int argc, char** argv) {
-    bool quick = false;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--quick") == 0) {
-            quick = true;
-        }
-    }
+    bool const quick = bench::Options::parse(argc, argv).quick;
     int const bw_warmup = quick ? 3 : 10;
     int const bw_rounds = quick ? 10 : 100;
     int const fence_warmup = quick ? 50 : 500;
     int const fence_rounds = quick ? 500 : 5000;
     int const overhead_epochs = quick ? 50 : 400;
-    int const overhead_reps = quick ? 3 : 7;
-    // Small rounds make the ratio noisy; keep the full-run gate at the
+    int const overhead_pairs = quick ? 15 : 31;
+    // Small batches make the ratio noisy; keep the full-run gate at the
     // paper's 3% and only loosen the smoke-run gate.
     double const overhead_budget = quick ? 1.25 : 1.03;
 
@@ -250,45 +209,44 @@ int main(int argc, char** argv) {
     double const fence8 = run_fence_latency(8, fence_warmup, fence_rounds);
     std::printf("\nfence latency: %.3f usec (p=2), %.3f usec (p=8)\n", fence2, fence8);
 
-    Overhead const overhead = run_overhead(16, 64, overhead_epochs, overhead_reps);
+    constexpr int kPutsPerEpoch = 64;
+    bench::PairedCost const overhead =
+        run_overhead(16, kPutsPerEpoch, overhead_epochs, overhead_pairs);
+    // Per put, one rank's thread-CPU share of the epoch (fence included).
+    double const per_put = 1.0 / (2.0 * kPutsPerEpoch);
+    double const raw_usec = overhead.a.cpu_usec * per_put;
+    double const kamping_usec = overhead.b.cpu_usec * per_put;
+    double const ratio = overhead.cpu_ratio();
     std::printf(
-        "put call cost: raw %.4f usec, kamping %.4f usec, ratio %.4f (budget %.2f)\n",
-        overhead.raw_usec_per_put, overhead.kamping_usec_per_put, overhead.ratio(),
-        overhead_budget);
+        "put call cost: raw %.4f usec, kamping %.4f usec, paired ratio %.4f (budget %.2f)\n\n",
+        raw_usec, kamping_usec, ratio, overhead_budget);
 
-    std::string json = "{\n  \"benchmark\": \"rma\",\n  \"world_size\": 2,\n  \"throughput\": [\n";
-    for (std::size_t i = 0; i < throughputs.size(); ++i) {
-        char buffer[256];
-        std::snprintf(
-            buffer, sizeof(buffer),
-            "    {\"bytes\": %zu, \"put_mb_per_s\": %.1f, \"get_mb_per_s\": %.1f, "
-            "\"isend_mb_per_s\": %.1f, \"rma_bytes_zero_copied\": %llu}",
-            throughputs[i].bytes, throughputs[i].put_mb_per_s, throughputs[i].get_mb_per_s,
-            throughputs[i].isend_mb_per_s,
-            static_cast<unsigned long long>(throughputs[i].rma_bytes_zero_copied));
-        json += buffer;
-        json += i + 1 < throughputs.size() ? ",\n" : "\n";
+    auto rows = bench::Json::array();
+    for (auto const& t: throughputs) {
+        rows.push(bench::Json::object()
+                      .set("bytes", t.bytes)
+                      .set("put_mb_per_s", bench::Json(t.put_mb_per_s, 1))
+                      .set("get_mb_per_s", bench::Json(t.get_mb_per_s, 1))
+                      .set("isend_mb_per_s", bench::Json(t.isend_mb_per_s, 1))
+                      .set("rma_bytes_zero_copied", t.rma_bytes_zero_copied));
     }
-    char tail[320];
-    std::snprintf(
-        tail, sizeof(tail),
-        "  ],\n  \"fence_usec_p2\": %.3f,\n  \"fence_usec_p8\": %.3f,\n"
-        "  \"put_raw_usec\": %.4f,\n  \"put_kamping_usec\": %.4f,\n"
-        "  \"put_overhead_ratio\": %.4f,\n  \"overhead_budget\": %.2f\n}\n",
-        fence2, fence8, overhead.raw_usec_per_put, overhead.kamping_usec_per_put,
-        overhead.ratio(), overhead_budget);
-    json += tail;
-    std::printf("\n%s", json.c_str());
-    if (std::FILE* file = std::fopen("BENCH_rma.json", "w")) {
-        std::fputs(json.c_str(), file);
-        std::fclose(file);
-    }
+    bool const written = bench::Json::object()
+                             .set("benchmark", "rma")
+                             .set("world_size", 2)
+                             .set("throughput", std::move(rows))
+                             .set("fence_usec_p2", fence2)
+                             .set("fence_usec_p8", fence8)
+                             .set("put_raw_usec", bench::Json(raw_usec, 4))
+                             .set("put_kamping_usec", bench::Json(kamping_usec, 4))
+                             .set("put_overhead_ratio", bench::Json(ratio, 4))
+                             .set("overhead_budget", bench::Json(overhead_budget, 2))
+                             .emit("rma");
 
-    if (overhead.ratio() > overhead_budget) {
+    if (ratio > overhead_budget) {
         std::fprintf(
             stderr, "FAIL: kamping put overhead %.2f%% exceeds budget %.2f%%\n",
-            (overhead.ratio() - 1.0) * 100.0, (overhead_budget - 1.0) * 100.0);
+            (ratio - 1.0) * 100.0, (overhead_budget - 1.0) * 100.0);
         return 1;
     }
-    return 0;
+    return written ? 0 : 1;
 }

@@ -20,13 +20,12 @@
 /// at p = 8 at least a million tasks queued and a nonzero steal count.
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <mutex>
-#include <string>
 #include <thread>
 #include <vector>
 
 #include "apps/kasched/scheduler.hpp"
+#include "bench_common.hpp"
 #include "kamping/plugin/plugins.hpp"
 #include "xmpi/xmpi.hpp"
 
@@ -152,30 +151,24 @@ double bench_steal_latency(std::uint32_t capacity, int rounds) {
     return usec_per_steal / rounds;
 }
 
-std::string to_json(RunResult const& r) {
-    char buffer[352];
-    std::snprintf(
-        buffer, sizeof buffer,
-        "    {\"p\": %d, \"n_tasks\": %llu, \"elapsed_s\": %.4f, \"tasks_per_s\": %.0f, "
-        "\"steals_attempted\": %llu, \"steals_succeeded\": %llu, \"requeued\": %llu, "
-        "\"rounds\": %llu, \"resyncs\": %llu, \"conserved\": %s}",
-        r.p, static_cast<unsigned long long>(r.n_tasks), r.elapsed_s, r.tasks_per_s(),
-        static_cast<unsigned long long>(r.steals_attempted),
-        static_cast<unsigned long long>(r.steals_succeeded),
-        static_cast<unsigned long long>(r.requeued), static_cast<unsigned long long>(r.rounds),
-        static_cast<unsigned long long>(r.resyncs), r.conserved ? "true" : "false");
-    return buffer;
+bench::Json to_json(RunResult const& r) {
+    return bench::Json::object()
+        .set("p", r.p)
+        .set("n_tasks", r.n_tasks)
+        .set("elapsed_s", bench::Json(r.elapsed_s, 4))
+        .set("tasks_per_s", bench::Json(r.tasks_per_s(), 0))
+        .set("steals_attempted", r.steals_attempted)
+        .set("steals_succeeded", r.steals_succeeded)
+        .set("requeued", r.requeued)
+        .set("rounds", r.rounds)
+        .set("resyncs", r.resyncs)
+        .set("conserved", r.conserved);
 }
 
 } // namespace
 
 int main(int argc, char** argv) {
-    bool quick = false;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--quick") == 0) {
-            quick = true;
-        }
-    }
+    bool const quick = bench::Options::parse(argc, argv).quick;
 
     // The headline run queues 2^20 > 10^6 tasks at p = 8; quick mode keeps
     // the same shape at CI-smoke scale.
@@ -210,32 +203,22 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(recovery.requeued),
         static_cast<unsigned long long>(recovery.resyncs));
 
-    std::string json = "{\n  \"benchmark\": \"sched\",\n";
-    json += std::string("  \"quick\": ") + (quick ? "true" : "false") + ",\n";
-    json += "  \"throughput\": [\n";
-    for (std::size_t i = 0; i < throughput.size(); ++i) {
-        json += to_json(throughput[i]);
-        json += i + 1 < throughput.size() ? ",\n" : "\n";
+    auto runs = bench::Json::array();
+    for (auto const& r: throughput) {
+        runs.push(to_json(r));
     }
-    json += "  ],\n";
-    {
-        char row[128];
-        std::snprintf(
-            row, sizeof row, "  \"steal_latency_usec\": %.3f,\n", steal_usec);
-        json += row;
-    }
-    json += "  \"recovery\": {\n    \"baseline\":\n";
-    json += "  " + to_json(baseline) + ",\n    \"with_kill\":\n";
-    json += "  " + to_json(recovery) + "\n  }\n}\n";
-    std::printf("%s", json.c_str());
-    if (std::FILE* file = std::fopen("BENCH_sched.json", "w")) {
-        std::fputs(json.c_str(), file);
-        std::fclose(file);
-    }
+    bool ok = bench::Json::object()
+                  .set("benchmark", "sched")
+                  .set("quick", quick)
+                  .set("throughput", std::move(runs))
+                  .set("steal_latency_usec", steal_usec)
+                  .set("recovery", bench::Json::object()
+                                       .set("baseline", to_json(baseline))
+                                       .set("with_kill", to_json(recovery)))
+                  .emit("sched");
 
     // Gate 1 (always): every run — undisturbed or killed — must conserve
     // the task set: complete ledger and bit-identical checksum everywhere.
-    bool ok = true;
     for (auto const& r: throughput) {
         if (!r.conserved) {
             std::fprintf(stderr, "FAIL: p=%d run did not conserve the task set\n", r.p);

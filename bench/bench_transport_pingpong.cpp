@@ -24,10 +24,9 @@
 /// Results are printed as a table and as JSON (also written to
 /// BENCH_transport_pingpong.json) for the experiment scripts.
 #include <cstdio>
-#include <cstring>
-#include <string>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "xmpi/profile.hpp"
 #include "xmpi/xmpi.hpp"
 
@@ -177,28 +176,24 @@ RateResult run_message_rate(int pairs, std::size_t bytes, int messages_per_pair,
     return result;
 }
 
-std::string to_json(Result const& result) {
-    char buffer[512];
-    std::snprintf(
-        buffer, sizeof(buffer),
-        "    {\"bytes\": %zu, \"rounds\": %d, \"usec_per_msg\": %.4f, "
-        "\"mb_per_s\": %.1f, \"messages\": %llu, \"fastpath_sends\": %llu, "
-        "\"bytes_zero_copied\": %llu, \"pool_hits\": %llu, \"pool_misses\": %llu, "
-        "\"ring_enqueues\": %llu, \"coalesced_sends\": %llu, "
-        "\"ring_full_fallbacks\": %llu, \"rendezvous_transfers\": %llu, "
-        "\"allocs_per_send\": %.6f, \"paths_consistent\": %s}",
-        result.bytes, result.rounds, result.usec_per_msg, result.mb_per_s,
-        static_cast<unsigned long long>(result.counters.messages_sent),
-        static_cast<unsigned long long>(result.counters.fastpath_sends),
-        static_cast<unsigned long long>(result.counters.bytes_zero_copied),
-        static_cast<unsigned long long>(result.counters.pool_hits),
-        static_cast<unsigned long long>(result.counters.pool_misses),
-        static_cast<unsigned long long>(result.counters.ring_enqueues),
-        static_cast<unsigned long long>(result.counters.coalesced_sends),
-        static_cast<unsigned long long>(result.counters.ring_full_fallbacks),
-        static_cast<unsigned long long>(result.counters.rendezvous_transfers),
-        result.allocs_per_send(), result.paths_consistent() ? "true" : "false");
-    return buffer;
+bench::Json to_json(Result const& result) {
+    auto const& c = result.counters;
+    return bench::Json::object()
+        .set("bytes", result.bytes)
+        .set("rounds", result.rounds)
+        .set("usec_per_msg", bench::Json(result.usec_per_msg, 4))
+        .set("mb_per_s", bench::Json(result.mb_per_s, 1))
+        .set("messages", c.messages_sent)
+        .set("fastpath_sends", c.fastpath_sends)
+        .set("bytes_zero_copied", c.bytes_zero_copied)
+        .set("pool_hits", c.pool_hits)
+        .set("pool_misses", c.pool_misses)
+        .set("ring_enqueues", c.ring_enqueues)
+        .set("coalesced_sends", c.coalesced_sends)
+        .set("ring_full_fallbacks", c.ring_full_fallbacks)
+        .set("rendezvous_transfers", c.rendezvous_transfers)
+        .set("allocs_per_send", bench::Json(result.allocs_per_send(), 6))
+        .set("paths_consistent", result.paths_consistent());
 }
 
 /// @brief Multi-pair message rates of the mutex+condvar mailbox transport
@@ -227,12 +222,7 @@ double baseline_rate(int pairs) {
 } // namespace
 
 int main(int argc, char** argv) {
-    bool quick = false;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--quick") == 0) {
-            quick = true;
-        }
-    }
+    bool const quick = bench::Options::parse(argc, argv).quick;
     int const small_warmup = quick ? 200 : 2000;
     int const small_rounds = quick ? 2000 : 20000;
     int const large_warmup = quick ? 5 : 20;
@@ -313,40 +303,34 @@ int main(int argc, char** argv) {
         std::printf("\n");
     }
 
-    std::string json = "{\n  \"benchmark\": \"transport_pingpong\",\n  \"world_size\": 2,\n"
-                       "  \"results\": [\n";
-    for (std::size_t i = 0; i < results.size(); ++i) {
-        json += to_json(results[i]);
-        json += i + 1 < results.size() ? ",\n" : "\n";
+    auto pingpong = bench::Json::array();
+    for (auto const& result: results) {
+        pingpong.push(to_json(result));
     }
-    json += "  ],\n  \"message_rate\": [\n";
-    for (std::size_t i = 0; i < rate_results.size(); ++i) {
-        auto const& r = rate_results[i];
-        char buffer[512];
+    auto rates = bench::Json::array();
+    for (auto const& r: rate_results) {
         double const baseline = baseline_rate(r.pairs);
-        double const speedup = baseline > 0.0 ? r.msgs_per_sec / baseline : 0.0;
-        std::snprintf(
-            buffer, sizeof(buffer),
-            "    {\"pairs\": %d, \"bytes\": %zu, \"messages_per_pair\": %d, "
-            "\"msgs_per_sec\": %.0f, \"usec_per_msg\": %.4f, \"ring_enqueues\": %llu, "
-            "\"coalesced_sends\": %llu, \"ring_full_fallbacks\": %llu, "
-            "\"baseline_mutex_msgs_per_sec\": %.0f, \"speedup_vs_mutex\": %.3f}",
-            r.pairs, r.bytes, r.messages_per_pair, r.msgs_per_sec, r.usec_per_msg,
-            static_cast<unsigned long long>(r.counters.ring_enqueues),
-            static_cast<unsigned long long>(r.counters.coalesced_sends),
-            static_cast<unsigned long long>(r.counters.ring_full_fallbacks),
-            baseline, speedup);
-        json += buffer;
-        json += i + 1 < rate_results.size() ? ",\n" : "\n";
+        rates.push(bench::Json::object()
+                       .set("pairs", r.pairs)
+                       .set("bytes", r.bytes)
+                       .set("messages_per_pair", r.messages_per_pair)
+                       .set("msgs_per_sec", bench::Json(r.msgs_per_sec, 0))
+                       .set("usec_per_msg", bench::Json(r.usec_per_msg, 4))
+                       .set("ring_enqueues", r.counters.ring_enqueues)
+                       .set("coalesced_sends", r.counters.coalesced_sends)
+                       .set("ring_full_fallbacks", r.counters.ring_full_fallbacks)
+                       .set("baseline_mutex_msgs_per_sec", bench::Json(baseline, 0))
+                       .set("speedup_vs_mutex",
+                            baseline > 0.0 ? r.msgs_per_sec / baseline : 0.0));
     }
-    json += "  ]\n}\n";
-    std::printf("\n%s", json.c_str());
-    if (std::FILE* file = std::fopen("BENCH_transport_pingpong.json", "w")) {
-        std::fputs(json.c_str(), file);
-        std::fclose(file);
-    }
+    std::printf("\n");
+    bool ok = bench::Json::object()
+                  .set("benchmark", "transport_pingpong")
+                  .set("world_size", 2)
+                  .set("results", std::move(pingpong))
+                  .set("message_rate", std::move(rates))
+                  .emit("transport_pingpong");
 
-    bool ok = true;
     for (auto const& result: results) {
         if (!result.paths_consistent()) {
             std::fprintf(stderr, "FAIL: counter identity broken at %zu bytes\n", result.bytes);

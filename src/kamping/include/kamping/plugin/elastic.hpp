@@ -3,12 +3,12 @@
 /// an elastic world (xmpi/elastic.hpp) — dynamic grow, shrink, *and* failure
 /// behind one rebalance loop.
 ///
-/// Where UserLevelFailureMitigation::shrink_and_retry only handles the
-/// failure direction (membership can shrink), with_elastic subsumes it for
-/// elastic worlds: any membership change — a thread joining the world via
-/// World::open_session, a rank retiring via leave_session, or a rank dying —
-/// revokes the current epoch's communicator, the loop resyncs to the fresh
-/// epoch, and the user's body re-runs on the new membership:
+/// with_elastic is the library's one recovery loop. Where the ULFM plugin's
+/// revoke/shrink vocabulary only handles the failure direction (membership
+/// can shrink), any membership change of an elastic world — a thread
+/// joining via World::open_session, a rank retiring via leave_session, or a
+/// rank dying — revokes the current epoch's communicator, the loop resyncs
+/// to the fresh epoch, and the user's body re-runs on the new membership:
 ///
 ///   comm.with_elastic([&](auto& c) {
 ///       rebalance(c.rank(), c.size());   // membership may have changed
@@ -63,13 +63,14 @@ public:
     }
 
     /// @brief Runs @c body(comm) on the current membership and re-runs it
-    /// whenever the membership changes underneath it — the elastic
-    /// generalization of shrink_and_retry. Before each attempt the loop
-    /// resyncs if a change is already pending; an attempt aborted by a
-    /// recoverable error (stale epoch, revocation, process failure — the
-    /// three faces of a membership transition) triggers a resync and a
-    /// retry on the fresh epoch's communicator. @c body observes changes
-    /// through the communicator it receives (rank/size/epoch).
+    /// whenever the membership changes underneath it — the paper's Fig. 12
+    /// revoke/shrink/retry loop, generalized to grow and shrink. Before each
+    /// attempt the loop resyncs if a change is already pending; an attempt
+    /// aborted by a recoverable error (stale epoch, revocation, process
+    /// failure — the three faces of a membership transition) triggers a
+    /// resync and a retry on the fresh epoch's communicator. @c body
+    /// observes changes through the communicator it receives
+    /// (rank/size/epoch).
     ///
     /// @param body        Callable taking `Comm&`; its return value is
     ///                    forwarded on success.

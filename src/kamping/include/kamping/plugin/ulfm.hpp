@@ -14,6 +14,10 @@
 ///       if (!comm.is_revoked()) comm.revoke();
 ///       comm = comm.shrink();
 ///   }
+///
+/// The packaged form of that loop is Elastic::with_elastic
+/// (plugin/elastic.hpp): on an elastic world a failure is one kind of
+/// membership transition, and the loop re-runs the body on the survivors.
 #pragma once
 
 #include "kamping/error.hpp"
@@ -63,52 +67,6 @@ public:
             "XMPI_Comm_agree",
             [&] { return XMPI_Comm_agree(this->self().mpi_communicator(), &flag); });
         return flag;
-    }
-
-    /// @brief One recovery step: revoke the communicator (unless already
-    /// revoked) and replace it, in place, by its shrunken successor.
-    void revoke_and_shrink() {
-        if (!is_revoked()) {
-            revoke();
-        }
-        this->self() = shrink();
-    }
-
-    /// @brief Runs @c body(comm) and, whenever it fails with a recoverable
-    /// ULFM error (process failure or revoked communicator), performs
-    /// revoke_and_shrink() and re-runs it on the survivor communicator —
-    /// the whole of the paper's Fig. 12 recovery loop in one call. Works for
-    /// rooted and non-rooted collectives alike: @c body receives the current
-    /// communicator, so it can re-derive roots from the shrunken size/rank.
-    ///
-    /// @param body        Callable taking `Comm&`; its return value is
-    ///                    forwarded on success.
-    /// @param max_attempts Bound on total attempts; defaults (-1) to
-    ///                    initial size + 1, enough for every member failing
-    ///                    one by one. Throws MpiError(XMPI_ERR_OTHER) when
-    ///                    exhausted. Non-recoverable errors propagate as-is.
-    template <typename Body>
-    decltype(auto) shrink_and_retry(Body&& body, int max_attempts = -1) {
-        int const attempts = max_attempts > 0 ? max_attempts : this->self().size() + 1;
-        for (int attempt = 0; attempt < attempts; ++attempt) {
-            try {
-                return body(this->self());
-            } catch (MpiFailureDetected const&) {
-                recover();
-            } catch (MpiCommRevoked const&) {
-                recover();
-            }
-        }
-        throw MpiError(XMPI_ERR_OTHER, "shrink_and_retry: attempts exhausted");
-    }
-
-private:
-    /// @brief One traced recovery round: the span (op "ulfm_recovery")
-    /// makes the cost of revoke+shrink attributable in traced runs.
-    void recover() {
-        kamping::internal::CollectivePlan<kamping::internal::plan_ops::ulfm_recovery> plan(
-            this->self().mpi_communicator());
-        revoke_and_shrink();
     }
 };
 
