@@ -78,10 +78,12 @@ double bench_bcast_amortization(
 double bench_allreduce_amortization(
     kamping::Communicator const& comm, int count, int rounds, bool record) {
     using namespace kamping;
-    int const rank = static_cast<int>(comm.rank());
+    auto const rank = static_cast<unsigned>(comm.rank());
 
-    std::vector<int> data(static_cast<std::size_t>(count), rank);
-    std::vector<int> bound(static_cast<std::size_t>(count), rank);
+    // Both sides feed their sum back (×p per round): unsigned elements keep
+    // the bytes and the op cost of int while wrapping around defined.
+    std::vector<unsigned> data(static_cast<std::size_t>(count), rank);
+    std::vector<unsigned> bound(static_cast<std::size_t>(count), rank);
     auto plan = comm.allreduce_plan(send_recv_buf(std::move(bound)), kamping::op(std::plus<>{}));
 
     auto const m = bench::per_round_paired_cost(

@@ -124,7 +124,7 @@ inline constexpr std::size_t kCounterCacheLine = 64;
     X(, bytes_zero_copied, "payload bytes moved without staging (both sides)")              \
     /* Progress-engine counters (see progress.hpp) */                                       \
     X(alignas(kCounterCacheLine), engine_tasks, "tasks enqueued on the engine")             \
-    X(, engine_inline_fallbacks, "full queue: ran inline at initiation")                    \
+    X(, engine_inline_fallbacks, "full queue, none of own queued: ran inline")              \
     X(, engine_queue_depth_max, "deepest queue observed at enqueue")                        \
     X(, engine_caller_steals, "tasks run by waiting/polling callers")                       \
     X(, engine_incomplete_destructions, "requests freed before completion")                 \

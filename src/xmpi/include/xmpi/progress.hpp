@@ -9,9 +9,11 @@
 /// tasks: N in-flight operations cost O(pool) threads.
 ///
 /// Progress / deadlock-freedom contract:
-///  - initiation enqueues a task; when the queue is full the task runs
-///    inline on the initiating rank (backpressure, counted as
-///    `engine_inline_fallbacks`),
+///  - initiation enqueues a task; while the queue is full the initiator
+///    runs its own queued tasks, oldest first, until a slot frees, and only
+///    with none of its own queued runs the new task inline (backpressure,
+///    counted as `engine_inline_fallbacks`) — initiation order per rank is
+///    kept either way,
 ///  - `wait()` on a still-queued task claims and runs it on the calling
 ///    rank's thread, so completion never depends on pool capacity,
 ///  - while its own task runs elsewhere, a waiting rank drains its *own*
@@ -61,8 +63,9 @@ struct Config {
     /// Worker threads; 0 selects the default min(4, hardware_concurrency-1),
     /// clamped to at least 1.
     unsigned threads = 0;
-    /// Queue slots; a submission finding the queue full runs inline on the
-    /// initiating rank instead (counted as engine_inline_fallbacks).
+    /// Queue slots; a submission finding the queue full first drains the
+    /// initiator's own queued tasks, and runs inline on the initiating rank
+    /// only when it has none queued (counted as engine_inline_fallbacks).
     std::size_t queue_capacity = 1024;
 };
 

@@ -142,10 +142,12 @@ public:
     /// @brief Retires the calling rank: announces the leave, participates in
     /// the membership transition that excludes it, and detaches the thread.
     void leave_session();
-    /// @brief Membership-epoch rendezvous: returns a *retained* handle to
-    /// the current-epoch communicator, first running (or joining) a
-    /// transition if joins, leaves, failures, or a revocation are pending.
-    /// The caller releases the handle (XMPI_Comm_free).
+    /// @brief Membership-epoch rendezvous: returns a handle to the
+    /// current-epoch communicator, first running (or joining) a transition
+    /// if joins, leaves, failures, or a revocation are pending. The caller
+    /// releases the handle (XMPI_Comm_free); at epoch 0 it is the world
+    /// communicator, which the World owns and XMPI_Comm_free leaves alone,
+    /// so that handle comes unretained.
     [[nodiscard]] Comm* epoch_sync();
     /// @brief True iff a membership transition has been requested (join,
     /// leave, or failure) that epoch_sync has not yet resolved. Cheap

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "coll.hpp"
+#include "coll_registry.hpp"
 #include "persistent.hpp"
 #include "transport.hpp"
 #include "xmpi/chaos.hpp"
@@ -20,6 +21,9 @@ namespace {
 
 using xmpi::BuiltinOp;
 using xmpi::BuiltinType;
+using xmpi::detail::CollCtx;
+using xmpi::detail::run_blocking;
+using xmpi::tuning::CollOp;
 
 void count_call(xmpi::profile::Call call) {
     auto& context = xmpi::detail::current_context();
@@ -85,6 +89,22 @@ void wait_ladder(Sweep&& sweep) {
     context.world->waiter(context.world_rank).wait_until([&] {
         return sweep() || (xmpi::progress::poll() && sweep());
     });
+}
+
+/// A count argument as the CollCtx field it fills.
+std::size_t ucount(int count) {
+    return static_cast<std::size_t>(count);
+}
+
+/// Starts one non-blocking registry collective: the collective runs as a
+/// task on the shared progress engine, on a dedicated matching channel (nbc
+/// context + per-initiation sequence tag) and under the initiating rank's
+/// context, so matching and profiling attribute correctly no matter which
+/// thread executes it.
+xmpi::Request* start_nonblocking(char const* name, CollOp op, CollCtx ctx) {
+    ctx.channel = {ctx.comm->nbc_context(), ctx.comm->next_nbc_sequence()};
+    return xmpi::progress::detail::submit(
+        name, ctx.comm, [op, ctx]() mutable { return xmpi::detail::run_collective(op, ctx); });
 }
 
 } // namespace
@@ -606,8 +626,10 @@ int XMPI_Bcast_init(
     void* buffer, int count, XMPI_Datatype datatype, int root, XMPI_Comm comm,
     XMPI_Request* request) {
     count_call(xmpi::profile::Call::bcast_init);
-    *request = xmpi::detail::make_persistent_bcast(
-        *comm, buffer, static_cast<std::size_t>(count), *datatype, root);
+    *request = xmpi::detail::make_persistent_collective(
+        "bcast_init", CollOp::bcast,
+        {.comm = comm, .recvbuf = buffer, .recvcount = ucount(count), .recvtype = datatype,
+         .root = root});
     return XMPI_SUCCESS;
 }
 
@@ -618,8 +640,10 @@ int XMPI_Allreduce_init(
     if (int const err = check_op(op, datatype); err != XMPI_SUCCESS) {
         return err;
     }
-    *request = xmpi::detail::make_persistent_allreduce(
-        *comm, sendbuf, recvbuf, static_cast<std::size_t>(count), *datatype, *op);
+    *request = xmpi::detail::make_persistent_collective(
+        "allreduce_init", CollOp::allreduce,
+        {.comm = comm, .sendbuf = sendbuf, .recvbuf = recvbuf, .sendcount = ucount(count),
+         .sendtype = datatype, .op = op});
     return XMPI_SUCCESS;
 }
 
@@ -628,14 +652,15 @@ int XMPI_Alltoall_init(
     XMPI_Datatype recvtype, XMPI_Comm comm, XMPI_Request* request) {
     count_call(xmpi::profile::Call::alltoall_init);
     *request = xmpi::detail::make_persistent_alltoall(
-        *comm, sendbuf, static_cast<std::size_t>(sendcount), *sendtype, recvbuf,
-        static_cast<std::size_t>(recvcount), *recvtype);
+        {.comm = comm, .sendbuf = sendbuf, .recvbuf = recvbuf, .sendcount = ucount(sendcount),
+         .recvcount = ucount(recvcount), .sendtype = sendtype, .recvtype = recvtype});
     return XMPI_SUCCESS;
 }
 
 int XMPI_Barrier_init(XMPI_Comm comm, XMPI_Request* request) {
     count_call(xmpi::profile::Call::barrier_init);
-    *request = xmpi::detail::make_persistent_barrier(*comm);
+    *request = xmpi::detail::make_persistent_collective(
+        "barrier_init", CollOp::barrier, {.comm = comm});
     return XMPI_SUCCESS;
 }
 
@@ -686,7 +711,7 @@ int XMPI_Parrived(XMPI_Request request, int partition, int* flag) {
 /// @{
 int XMPI_Barrier(XMPI_Comm comm) {
     count_call(xmpi::profile::Call::barrier);
-    return xmpi::detail::coll_barrier(*comm);
+    return run_blocking(CollOp::barrier, {.comm = comm});
 }
 
 int XMPI_Ibarrier(XMPI_Comm comm, XMPI_Request* request) {
@@ -697,77 +722,84 @@ int XMPI_Ibarrier(XMPI_Comm comm, XMPI_Request* request) {
 
 int XMPI_Bcast(void* buffer, int count_, XMPI_Datatype datatype, int root, XMPI_Comm comm) {
     count_call(xmpi::profile::Call::bcast);
-    return xmpi::detail::coll_bcast(
-        *comm, buffer, static_cast<std::size_t>(count_), *datatype, root);
+    return run_blocking(
+        CollOp::bcast, {.comm = comm, .recvbuf = buffer, .recvcount = ucount(count_),
+                        .recvtype = datatype, .root = root});
 }
 
 int XMPI_Gather(
     void const* sendbuf, int sendcount, XMPI_Datatype sendtype, void* recvbuf, int recvcount,
     XMPI_Datatype recvtype, int root, XMPI_Comm comm) {
     count_call(xmpi::profile::Call::gather);
-    return xmpi::detail::coll_gather(
-        *comm, sendbuf, static_cast<std::size_t>(sendcount),
-        sendbuf == XMPI_IN_PLACE ? *recvtype : *sendtype, recvbuf,
-        static_cast<std::size_t>(recvcount), *recvtype, root);
+    return run_blocking(
+        CollOp::gather,
+        {.comm = comm, .sendbuf = sendbuf, .recvbuf = recvbuf, .sendcount = ucount(sendcount),
+         .recvcount = ucount(recvcount), .sendtype = sendtype, .recvtype = recvtype,
+         .root = root});
 }
 
 int XMPI_Gatherv(
     void const* sendbuf, int sendcount, XMPI_Datatype sendtype, void* recvbuf,
     int const* recvcounts, int const* displs, XMPI_Datatype recvtype, int root, XMPI_Comm comm) {
     count_call(xmpi::profile::Call::gatherv);
-    return xmpi::detail::coll_gatherv(
-        *comm, sendbuf, static_cast<std::size_t>(sendcount),
-        sendbuf == XMPI_IN_PLACE ? *recvtype : *sendtype, recvbuf, recvcounts, displs, *recvtype,
-        root);
+    return run_blocking(
+        CollOp::gatherv,
+        {.comm = comm, .sendbuf = sendbuf, .recvbuf = recvbuf, .sendcount = ucount(sendcount),
+         .sendtype = sendtype, .recvtype = recvtype, .root = root, .recvcounts = recvcounts,
+         .rdispls = displs});
 }
 
 int XMPI_Scatter(
     void const* sendbuf, int sendcount, XMPI_Datatype sendtype, void* recvbuf, int recvcount,
     XMPI_Datatype recvtype, int root, XMPI_Comm comm) {
     count_call(xmpi::profile::Call::scatter);
-    return xmpi::detail::coll_scatter(
-        *comm, sendbuf, static_cast<std::size_t>(sendcount), *sendtype, recvbuf,
-        static_cast<std::size_t>(recvcount), recvbuf == XMPI_IN_PLACE ? *sendtype : *recvtype,
-        root);
+    return run_blocking(
+        CollOp::scatter,
+        {.comm = comm, .sendbuf = sendbuf, .recvbuf = recvbuf, .sendcount = ucount(sendcount),
+         .recvcount = ucount(recvcount), .sendtype = sendtype, .recvtype = recvtype,
+         .root = root});
 }
 
 int XMPI_Scatterv(
     void const* sendbuf, int const* sendcounts, int const* displs, XMPI_Datatype sendtype,
     void* recvbuf, int recvcount, XMPI_Datatype recvtype, int root, XMPI_Comm comm) {
     count_call(xmpi::profile::Call::scatterv);
-    return xmpi::detail::coll_scatterv(
-        *comm, sendbuf, sendcounts, displs, *sendtype, recvbuf,
-        static_cast<std::size_t>(recvcount), recvbuf == XMPI_IN_PLACE ? *sendtype : *recvtype,
-        root);
+    return run_blocking(
+        CollOp::scatterv,
+        {.comm = comm, .sendbuf = sendbuf, .recvbuf = recvbuf, .recvcount = ucount(recvcount),
+         .sendtype = sendtype, .recvtype = recvtype, .root = root, .sendcounts = sendcounts,
+         .sdispls = displs});
 }
 
 int XMPI_Allgather(
     void const* sendbuf, int sendcount, XMPI_Datatype sendtype, void* recvbuf, int recvcount,
     XMPI_Datatype recvtype, XMPI_Comm comm) {
     count_call(xmpi::profile::Call::allgather);
-    return xmpi::detail::coll_allgather(
-        *comm, sendbuf, static_cast<std::size_t>(sendcount),
-        sendbuf == XMPI_IN_PLACE ? *recvtype : *sendtype, recvbuf,
-        static_cast<std::size_t>(recvcount), *recvtype);
+    return run_blocking(
+        CollOp::allgather,
+        {.comm = comm, .sendbuf = sendbuf, .recvbuf = recvbuf, .sendcount = ucount(sendcount),
+         .recvcount = ucount(recvcount), .sendtype = sendtype, .recvtype = recvtype});
 }
 
 int XMPI_Allgatherv(
     void const* sendbuf, int sendcount, XMPI_Datatype sendtype, void* recvbuf,
     int const* recvcounts, int const* displs, XMPI_Datatype recvtype, XMPI_Comm comm) {
     count_call(xmpi::profile::Call::allgatherv);
-    return xmpi::detail::coll_allgatherv(
-        *comm, sendbuf, static_cast<std::size_t>(sendcount),
-        sendbuf == XMPI_IN_PLACE ? *recvtype : *sendtype, recvbuf, recvcounts, displs, *recvtype);
+    return run_blocking(
+        CollOp::allgatherv,
+        {.comm = comm, .sendbuf = sendbuf, .recvbuf = recvbuf, .sendcount = ucount(sendcount),
+         .sendtype = sendtype, .recvtype = recvtype, .recvcounts = recvcounts,
+         .rdispls = displs});
 }
 
 int XMPI_Alltoall(
     void const* sendbuf, int sendcount, XMPI_Datatype sendtype, void* recvbuf, int recvcount,
     XMPI_Datatype recvtype, XMPI_Comm comm) {
     count_call(xmpi::profile::Call::alltoall);
-    return xmpi::detail::coll_alltoall(
-        *comm, sendbuf, static_cast<std::size_t>(sendcount),
-        sendbuf == XMPI_IN_PLACE ? *recvtype : *sendtype, recvbuf,
-        static_cast<std::size_t>(recvcount), *recvtype);
+    return run_blocking(
+        CollOp::alltoall,
+        {.comm = comm, .sendbuf = sendbuf, .recvbuf = recvbuf, .sendcount = ucount(sendcount),
+         .recvcount = ucount(recvcount), .sendtype = sendtype, .recvtype = recvtype});
 }
 
 int XMPI_Alltoallv(
@@ -775,9 +807,11 @@ int XMPI_Alltoallv(
     void* recvbuf, int const* recvcounts, int const* rdispls, XMPI_Datatype recvtype,
     XMPI_Comm comm) {
     count_call(xmpi::profile::Call::alltoallv);
-    return xmpi::detail::coll_alltoallv(
-        *comm, sendbuf, sendcounts, sdispls, sendbuf == XMPI_IN_PLACE ? *recvtype : *sendtype,
-        recvbuf, recvcounts, rdispls, *recvtype);
+    return run_blocking(
+        CollOp::alltoallv,
+        {.comm = comm, .sendbuf = sendbuf, .recvbuf = recvbuf, .sendtype = sendtype,
+         .recvtype = recvtype, .sendcounts = sendcounts, .sdispls = sdispls,
+         .recvcounts = recvcounts, .rdispls = rdispls});
 }
 
 int XMPI_Alltoallw(
@@ -785,25 +819,22 @@ int XMPI_Alltoallw(
     XMPI_Datatype const* sendtypes, void* recvbuf, int const* recvcounts, int const* rdispls,
     XMPI_Datatype const* recvtypes, XMPI_Comm comm) {
     count_call(xmpi::profile::Call::alltoallw);
-    return xmpi::detail::coll_alltoallw(
-        *comm, sendbuf, sendcounts, sdispls,
-        reinterpret_cast<xmpi::Datatype const* const*>(sendtypes), recvbuf, recvcounts, rdispls,
-        reinterpret_cast<xmpi::Datatype const* const*>(recvtypes));
+    return run_blocking(
+        CollOp::alltoallw,
+        {.comm = comm, .sendbuf = sendbuf, .recvbuf = recvbuf, .sendcounts = sendcounts,
+         .sdispls = sdispls, .recvcounts = recvcounts, .rdispls = rdispls,
+         .sendtypes = reinterpret_cast<xmpi::Datatype const* const*>(sendtypes),
+         .recvtypes = reinterpret_cast<xmpi::Datatype const* const*>(recvtypes)});
 }
 
 int XMPI_Ibcast(
     void* buffer, int count_, XMPI_Datatype datatype, int root, XMPI_Comm comm,
     XMPI_Request* request) {
     count_call(xmpi::profile::Call::ibcast);
-    // The collective runs as a task on the shared progress engine, on a
-    // dedicated matching channel (nbc context + per-initiation sequence tag)
-    // and under the initiating rank's context, so matching and profiling
-    // attribute correctly no matter which thread executes it.
-    xmpi::detail::CollChannel const channel{comm->nbc_context(), comm->next_nbc_sequence()};
-    *request = xmpi::progress::detail::submit("ibcast", comm, [=] {
-        return xmpi::detail::coll_bcast_on(
-            *comm, channel, buffer, static_cast<std::size_t>(count_), *datatype, root);
-    });
+    *request = start_nonblocking(
+        "ibcast", CollOp::bcast,
+        {.comm = comm, .recvbuf = buffer, .recvcount = ucount(count_), .recvtype = datatype,
+         .root = root});
     return XMPI_SUCCESS;
 }
 
@@ -814,11 +845,10 @@ int XMPI_Iallreduce(
     if (int const err = check_op(op, datatype); err != XMPI_SUCCESS) {
         return err;
     }
-    xmpi::detail::CollChannel const channel{comm->nbc_context(), comm->next_nbc_sequence()};
-    *request = xmpi::progress::detail::submit("iallreduce", comm, [=] {
-        return xmpi::detail::coll_allreduce_on(
-            *comm, channel, sendbuf, recvbuf, static_cast<std::size_t>(count_), *datatype, *op);
-    });
+    *request = start_nonblocking(
+        "iallreduce", CollOp::allreduce,
+        {.comm = comm, .sendbuf = sendbuf, .recvbuf = recvbuf, .sendcount = ucount(count_),
+         .sendtype = datatype, .op = op});
     return XMPI_SUCCESS;
 }
 
@@ -827,12 +857,11 @@ int XMPI_Ialltoallv(
     void* recvbuf, int const* recvcounts, int const* rdispls, XMPI_Datatype recvtype,
     XMPI_Comm comm, XMPI_Request* request) {
     count_call(xmpi::profile::Call::ialltoallv);
-    xmpi::detail::CollChannel const channel{comm->nbc_context(), comm->next_nbc_sequence()};
-    *request = xmpi::progress::detail::submit("ialltoallv", comm, [=] {
-        return xmpi::detail::coll_alltoallv_on(
-            *comm, channel, sendbuf, sendcounts, sdispls, *sendtype, recvbuf, recvcounts,
-            rdispls, *recvtype);
-    });
+    *request = start_nonblocking(
+        "ialltoallv", CollOp::alltoallv,
+        {.comm = comm, .sendbuf = sendbuf, .recvbuf = recvbuf, .sendtype = sendtype,
+         .recvtype = recvtype, .sendcounts = sendcounts, .sdispls = sdispls,
+         .recvcounts = recvcounts, .rdispls = rdispls});
     return XMPI_SUCCESS;
 }
 
@@ -843,8 +872,10 @@ int XMPI_Reduce(
     if (int const err = check_op(op, datatype); err != XMPI_SUCCESS) {
         return err;
     }
-    return xmpi::detail::coll_reduce(
-        *comm, sendbuf, recvbuf, static_cast<std::size_t>(count_), *datatype, *op, root);
+    return run_blocking(
+        CollOp::reduce, {.comm = comm, .sendbuf = sendbuf, .recvbuf = recvbuf,
+                         .sendcount = ucount(count_), .sendtype = datatype, .op = op,
+                         .root = root});
 }
 
 int XMPI_Allreduce(
@@ -854,8 +885,9 @@ int XMPI_Allreduce(
     if (int const err = check_op(op, datatype); err != XMPI_SUCCESS) {
         return err;
     }
-    return xmpi::detail::coll_allreduce(
-        *comm, sendbuf, recvbuf, static_cast<std::size_t>(count_), *datatype, *op);
+    return run_blocking(
+        CollOp::allreduce, {.comm = comm, .sendbuf = sendbuf, .recvbuf = recvbuf,
+                            .sendcount = ucount(count_), .sendtype = datatype, .op = op});
 }
 
 int XMPI_Reduce_scatter_block(
@@ -865,8 +897,9 @@ int XMPI_Reduce_scatter_block(
     if (int const err = check_op(op, datatype); err != XMPI_SUCCESS) {
         return err;
     }
-    return xmpi::detail::coll_reduce_scatter_block(
-        *comm, sendbuf, recvbuf, static_cast<std::size_t>(recvcount), *datatype, *op);
+    return run_blocking(
+        CollOp::reduce_scatter, {.comm = comm, .sendbuf = sendbuf, .recvbuf = recvbuf,
+                                 .recvcount = ucount(recvcount), .sendtype = datatype, .op = op});
 }
 
 int XMPI_Scan(
@@ -876,8 +909,9 @@ int XMPI_Scan(
     if (int const err = check_op(op, datatype); err != XMPI_SUCCESS) {
         return err;
     }
-    return xmpi::detail::coll_scan(
-        *comm, sendbuf, recvbuf, static_cast<std::size_t>(count_), *datatype, *op, false);
+    return run_blocking(
+        CollOp::scan, {.comm = comm, .sendbuf = sendbuf, .recvbuf = recvbuf,
+                       .sendcount = ucount(count_), .sendtype = datatype, .op = op});
 }
 
 int XMPI_Exscan(
@@ -887,8 +921,10 @@ int XMPI_Exscan(
     if (int const err = check_op(op, datatype); err != XMPI_SUCCESS) {
         return err;
     }
-    return xmpi::detail::coll_scan(
-        *comm, sendbuf, recvbuf, static_cast<std::size_t>(count_), *datatype, *op, true);
+    return run_blocking(
+        CollOp::scan, {.comm = comm, .sendbuf = sendbuf, .recvbuf = recvbuf,
+                       .sendcount = ucount(count_), .sendtype = datatype, .op = op,
+                       .exclusive = true});
 }
 /// @}
 
@@ -1086,9 +1122,11 @@ int XMPI_Neighbor_alltoall(
     for (std::size_t i = 0; i < rdispls.size(); ++i) {
         rdispls[i] = static_cast<int>(i) * recvcount;
     }
-    return xmpi::detail::coll_neighbor_alltoallv(
-        *comm, sendbuf, sendcounts.data(), sdispls.data(), *sendtype, recvbuf, recvcounts.data(),
-        rdispls.data(), *recvtype);
+    return run_blocking(
+        CollOp::neighbor_alltoallv,
+        {.comm = comm, .sendbuf = sendbuf, .recvbuf = recvbuf, .sendtype = sendtype,
+         .recvtype = recvtype, .sendcounts = sendcounts.data(), .sdispls = sdispls.data(),
+         .recvcounts = recvcounts.data(), .rdispls = rdispls.data()});
 }
 
 int XMPI_Neighbor_alltoallv(
@@ -1096,8 +1134,11 @@ int XMPI_Neighbor_alltoallv(
     void* recvbuf, int const* recvcounts, int const* rdispls, XMPI_Datatype recvtype,
     XMPI_Comm comm) {
     count_call(xmpi::profile::Call::neighbor_alltoallv);
-    return xmpi::detail::coll_neighbor_alltoallv(
-        *comm, sendbuf, sendcounts, sdispls, *sendtype, recvbuf, recvcounts, rdispls, *recvtype);
+    return run_blocking(
+        CollOp::neighbor_alltoallv,
+        {.comm = comm, .sendbuf = sendbuf, .recvbuf = recvbuf, .sendtype = sendtype,
+         .recvtype = recvtype, .sendcounts = sendcounts, .sdispls = sdispls,
+         .recvcounts = recvcounts, .rdispls = rdispls});
 }
 /// @}
 

@@ -1,18 +1,21 @@
 /// @file coll.hpp
-/// @brief Internal declarations of the collective algorithm implementations.
+/// @brief Internal declarations shared by the collective layer: the
+/// blocking tag space, reduction scratch, and the collectives that are not
+/// registry operations (Ibarrier, communicator management, ULFM).
 ///
-/// All collectives are implemented on top of the internal point-to-point
-/// transport (collective context) with the textbook algorithms also used by
-/// production MPI implementations, so the alpha/beta network model induces a
-/// realistic cost structure (e.g. binomial bcast costs ~log2(p) * alpha).
+/// Every registry collective — blocking, non-blocking or persistent — is one
+/// CollCtx run through run_collective() (coll_registry.hpp). The algorithms
+/// are built on the internal point-to-point transport with the textbook
+/// patterns production MPI implementations use, so the alpha/beta network
+/// model induces a realistic cost structure (e.g. binomial bcast costs
+/// ~log2(p) * alpha).
 #pragma once
 
 #include <cstddef>
 #include <vector>
 
+#include "transport.hpp"
 #include "xmpi/comm.hpp"
-#include "xmpi/datatype.hpp"
-#include "xmpi/op.hpp"
 #include "xmpi/request.hpp"
 
 namespace xmpi::detail {
@@ -20,6 +23,7 @@ namespace xmpi::detail {
 /// @brief Internal tag space for collective-context messages; one tag per
 /// collective kind keeps back-to-back different collectives unambiguous
 /// (same-kind back-to-back is safe by the non-overtaking guarantee).
+/// Registry collectives reach these tags only through blocking_channel().
 namespace coll_tag {
 inline constexpr int barrier          = 1;
 inline constexpr int bcast            = 2;
@@ -30,18 +34,9 @@ inline constexpr int alltoall         = 6;
 inline constexpr int reduce           = 7;
 inline constexpr int scan             = 8;
 inline constexpr int neighbor         = 9;
-inline constexpr int topo_create      = 10;
 inline constexpr int comm_create      = 11;
 inline constexpr int reduce_scatter   = 12;
 } // namespace coll_tag
-
-/// @brief Matching channel of one collective instance: blocking
-/// collectives use (collective context, per-kind tag); non-blocking ones
-/// (nbc context, per-initiation sequence tag) so several can be in flight.
-struct CollChannel {
-    int context;
-    int tag;
-};
 
 /// @brief Reusable scratch for reduction collectives. One-shot calls
 /// allocate it on the stack; persistent requests hoist one instance into
@@ -51,69 +46,10 @@ struct ReduceScratch {
     std::vector<std::byte> incoming;
 };
 
-int coll_barrier(Comm& comm);
-int coll_barrier_on(Comm& comm, CollChannel channel);
+/// @brief Non-blocking barrier on the communicator's shared arrival
+/// counter: the one collective with its own algorithm outside the registry
+/// (it needs no messages, only a modelled dissemination latency).
 Request* coll_ibarrier(Comm& comm);
-int coll_bcast(Comm& comm, void* buffer, std::size_t count, Datatype const& type, int root);
-int coll_bcast_on(
-    Comm& comm, CollChannel channel, void* buffer, std::size_t count, Datatype const& type,
-    int root);
-int coll_reduce_on(
-    Comm& comm, CollChannel channel, void const* sendbuf, void* recvbuf, std::size_t count,
-    Datatype const& type, Op const& op, int root);
-int coll_allreduce_on(
-    Comm& comm, CollChannel channel, void const* sendbuf, void* recvbuf, std::size_t count,
-    Datatype const& type, Op const& op, ReduceScratch* scratch = nullptr);
-int coll_alltoallv_on(
-    Comm& comm, CollChannel channel, void const* sendbuf, int const* sendcounts,
-    int const* sdispls, Datatype const& sendtype, void* recvbuf, int const* recvcounts,
-    int const* rdispls, Datatype const& recvtype);
-int coll_gather(
-    Comm& comm, void const* sendbuf, std::size_t sendcount, Datatype const& sendtype,
-    void* recvbuf, std::size_t recvcount, Datatype const& recvtype, int root);
-int coll_gatherv(
-    Comm& comm, void const* sendbuf, std::size_t sendcount, Datatype const& sendtype,
-    void* recvbuf, int const* recvcounts, int const* displs, Datatype const& recvtype, int root);
-int coll_scatter(
-    Comm& comm, void const* sendbuf, std::size_t sendcount, Datatype const& sendtype,
-    void* recvbuf, std::size_t recvcount, Datatype const& recvtype, int root);
-int coll_scatterv(
-    Comm& comm, void const* sendbuf, int const* sendcounts, int const* displs,
-    Datatype const& sendtype, void* recvbuf, std::size_t recvcount, Datatype const& recvtype,
-    int root);
-int coll_allgather(
-    Comm& comm, void const* sendbuf, std::size_t sendcount, Datatype const& sendtype,
-    void* recvbuf, std::size_t recvcount, Datatype const& recvtype);
-int coll_allgatherv(
-    Comm& comm, void const* sendbuf, std::size_t sendcount, Datatype const& sendtype,
-    void* recvbuf, int const* recvcounts, int const* displs, Datatype const& recvtype);
-int coll_alltoall(
-    Comm& comm, void const* sendbuf, std::size_t sendcount, Datatype const& sendtype,
-    void* recvbuf, std::size_t recvcount, Datatype const& recvtype);
-int coll_alltoallv(
-    Comm& comm, void const* sendbuf, int const* sendcounts, int const* sdispls,
-    Datatype const& sendtype, void* recvbuf, int const* recvcounts, int const* rdispls,
-    Datatype const& recvtype);
-int coll_alltoallw(
-    Comm& comm, void const* sendbuf, int const* sendcounts, int const* sdispls,
-    Datatype const* const* sendtypes, void* recvbuf, int const* recvcounts, int const* rdispls,
-    Datatype const* const* recvtypes);
-int coll_reduce(
-    Comm& comm, void const* sendbuf, void* recvbuf, std::size_t count, Datatype const& type,
-    Op const& op, int root);
-int coll_allreduce(
-    Comm& comm, void const* sendbuf, void* recvbuf, std::size_t count, Datatype const& type,
-    Op const& op);
-int coll_reduce_scatter_block(
-    Comm& comm, void const* sendbuf, void* recvbuf, std::size_t recvcount, Datatype const& type,
-    Op const& op);
-int coll_scan(
-    Comm& comm, void const* sendbuf, void* recvbuf, std::size_t count, Datatype const& type,
-    Op const& op, bool exclusive);
-int coll_neighbor_alltoallv(
-    Comm& comm, void const* sendbuf, int const* sendcounts, int const* sdispls,
-    Datatype const& sendtype, void* recvbuf, int const* recvcounts, int const* rdispls,
-    Datatype const& recvtype);
 
 /// @name Communicator management (collective over the parent communicator)
 /// @{

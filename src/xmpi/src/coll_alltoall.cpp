@@ -58,9 +58,9 @@ int run_alltoall_bruck(CollCtx& ctx) {
         for (std::size_t j = 0; j < round_slots.size(); ++j) {
             std::memcpy(send_stage.data() + j * block_bytes, slot(round_slots[j]), block_bytes);
         }
-        if (int const err = coll_sendrecv(
-                comm, (r + k) % p, coll_tag::alltoall, send_stage.data(), stage_bytes, byte_type,
-                (r - k + p) % p, coll_tag::alltoall, recv_stage.data(), stage_bytes, byte_type);
+        if (int const err = channel_sendrecv(
+                comm, ctx.channel, (r + k) % p, send_stage.data(), stage_bytes, byte_type,
+                (r - k + p) % p, recv_stage.data(), stage_bytes, byte_type);
             err != XMPI_SUCCESS) {
             return err;
         }
@@ -113,10 +113,10 @@ int run_alltoall_pairwise(CollCtx& ctx) {
     for (int i = 1; i < p; ++i) {
         int const to = (r + i) % p;
         int const from = (r - i + p) % p;
-        if (int const err = coll_sendrecv(
-                comm, to, coll_tag::alltoall,
+        if (int const err = channel_sendrecv(
+                comm, ctx.channel, to,
                 displaced(sendbuf, to * static_cast<std::ptrdiff_t>(sendcount), sendtype),
-                sendcount, sendtype, from, coll_tag::alltoall,
+                sendcount, sendtype, from,
                 displaced(recvbuf, from * static_cast<std::ptrdiff_t>(recvcount), recvtype),
                 recvcount, recvtype);
             err != XMPI_SUCCESS) {
@@ -126,11 +126,10 @@ int run_alltoall_pairwise(CollCtx& ctx) {
     return XMPI_SUCCESS;
 }
 
-/// @brief Pairwise alltoallv over an explicit channel (the persistent
-/// alltoall plan replays this with its bound channel).
+/// @brief Pairwise alltoallv (the persistent alltoall plan replays this
+/// with its own shape and channel).
 int run_alltoallv_pairwise(CollCtx& ctx) {
     Comm& comm = *ctx.comm;
-    CollChannel const channel = ctx.channel;
     void* const recvbuf = ctx.recvbuf;
     int const* const recvcounts = ctx.recvcounts;
     int const* const rdispls = ctx.rdispls;
@@ -167,17 +166,11 @@ int run_alltoallv_pairwise(CollCtx& ctx) {
     for (int i = 1; i < p; ++i) {
         int const to = (r + i) % p;
         int const from = (r - i + p) % p;
-        if (int const err = transport_send(
-                comm, to, channel.tag, channel.context,
-                displaced(sendbuf, sdispls[to], *sendtype),
-                static_cast<std::size_t>(sendcounts[to]), *sendtype);
-            err != XMPI_SUCCESS) {
-            return err;
-        }
-        if (int const err = transport_recv(
-                comm, from, channel.tag, channel.context,
+        if (int const err = channel_sendrecv(
+                comm, ctx.channel, to, displaced(sendbuf, sdispls[to], *sendtype),
+                static_cast<std::size_t>(sendcounts[to]), *sendtype, from,
                 displaced(recvbuf, rdispls[from], recvtype),
-                static_cast<std::size_t>(recvcounts[from]), recvtype, nullptr);
+                static_cast<std::size_t>(recvcounts[from]), recvtype);
             err != XMPI_SUCCESS) {
             return err;
         }
@@ -207,10 +200,10 @@ int run_alltoallw_pairwise(CollCtx& ctx) {
     for (int i = 1; i < p; ++i) {
         int const to = (r + i) % p;
         int const from = (r - i + p) % p;
-        if (int const err = coll_sendrecv(
-                comm, to, coll_tag::alltoall, send_slice(to),
+        if (int const err = channel_sendrecv(
+                comm, ctx.channel, to, send_slice(to),
                 static_cast<std::size_t>(ctx.sendcounts[to]), *ctx.sendtypes[to], from,
-                coll_tag::alltoall, recv_slice(from),
+                recv_slice(from),
                 static_cast<std::size_t>(ctx.recvcounts[from]), *ctx.recvtypes[from]);
             err != XMPI_SUCCESS) {
             return err;
@@ -234,7 +227,7 @@ int run_neighbor_alltoallv_posted(CollCtx& ctx) {
     for (std::size_t j = 0; j < topology.sources.size(); ++j) {
         Request* request = nullptr;
         int const err = transport_irecv(
-            comm, topology.sources[j], coll_tag::neighbor, comm.collective_context(),
+            comm, topology.sources[j], ctx.channel.tag, ctx.channel.context,
             static_cast<std::byte*>(ctx.recvbuf) + ctx.rdispls[j] * recvtype.extent(),
             static_cast<std::size_t>(ctx.recvcounts[j]), recvtype, &request);
         if (err != XMPI_SUCCESS) {
@@ -246,8 +239,8 @@ int run_neighbor_alltoallv_posted(CollCtx& ctx) {
         requests.push_back(request);
     }
     for (std::size_t j = 0; j < topology.destinations.size(); ++j) {
-        int const err = coll_send(
-            comm, topology.destinations[j], coll_tag::neighbor,
+        int const err = channel_send(
+            comm, ctx.channel, topology.destinations[j],
             static_cast<std::byte const*>(ctx.sendbuf) + ctx.sdispls[j] * sendtype.extent(),
             static_cast<std::size_t>(ctx.sendcounts[j]), sendtype);
         if (err != XMPI_SUCCESS && first_error == XMPI_SUCCESS) {
@@ -309,110 +302,6 @@ void register_alltoall_algos(std::vector<CollAlgo>& registry) {
     registry.push_back(
         {tuning::CollOp::neighbor_alltoallv, "posted", nullptr, nullptr, nullptr,
          run_neighbor_alltoallv_posted});
-}
-
-int coll_alltoall(
-    Comm& comm, void const* sendbuf, std::size_t sendcount, Datatype const& sendtype,
-    void* recvbuf, std::size_t recvcount, Datatype const& recvtype) {
-    if (int const err = check_collective(comm); err != XMPI_SUCCESS) {
-        return err;
-    }
-    // In-place: send data comes from the receive buffer with the receive
-    // shape (whether an algorithm must stage a copy is its own business).
-    CollCtx ctx;
-    ctx.comm = &comm;
-    ctx.in_place = sendbuf == IN_PLACE;
-    ctx.sendbuf = ctx.in_place ? recvbuf : sendbuf;
-    ctx.sendcount = ctx.in_place ? recvcount : sendcount;
-    ctx.sendtype = ctx.in_place ? &recvtype : &sendtype;
-    ctx.recvbuf = recvbuf;
-    ctx.recvcount = recvcount;
-    ctx.recvtype = &recvtype;
-    return dispatch_coll(
-        tuning::CollOp::alltoall,
-        make_select_ctx(comm, ctx.sendtype->packed_size(ctx.sendcount)), ctx);
-}
-
-int coll_alltoallv_on(
-    Comm& comm, CollChannel channel, void const* sendbuf, int const* sendcounts,
-    int const* sdispls, Datatype const& sendtype, void* recvbuf, int const* recvcounts,
-    int const* rdispls, Datatype const& recvtype) {
-    if (int const err = check_collective(comm); err != XMPI_SUCCESS) {
-        return err;
-    }
-    CollCtx ctx;
-    ctx.comm = &comm;
-    ctx.channel = channel;
-    ctx.in_place = sendbuf == IN_PLACE;
-    ctx.sendbuf = sendbuf;
-    ctx.sendcounts = sendcounts;
-    ctx.sdispls = sdispls;
-    ctx.sendtype = &sendtype;
-    ctx.recvbuf = recvbuf;
-    ctx.recvcounts = recvcounts;
-    ctx.rdispls = rdispls;
-    ctx.recvtype = &recvtype;
-    // Block sizes vary per peer; selection sees the caller's own block as a
-    // representative size.
-    std::size_t const own_bytes =
-        recvtype.packed_size(static_cast<std::size_t>(recvcounts[comm.rank()]));
-    return dispatch_coll(tuning::CollOp::alltoallv, make_select_ctx(comm, own_bytes), ctx);
-}
-
-int coll_alltoallv(
-    Comm& comm, void const* sendbuf, int const* sendcounts, int const* sdispls,
-    Datatype const& sendtype, void* recvbuf, int const* recvcounts, int const* rdispls,
-    Datatype const& recvtype) {
-    return coll_alltoallv_on(
-        comm, CollChannel{comm.collective_context(), coll_tag::alltoall}, sendbuf, sendcounts,
-        sdispls, sendtype, recvbuf, recvcounts, rdispls, recvtype);
-}
-
-int coll_alltoallw(
-    Comm& comm, void const* sendbuf, int const* sendcounts, int const* sdispls,
-    Datatype const* const* sendtypes, void* recvbuf, int const* recvcounts, int const* rdispls,
-    Datatype const* const* recvtypes) {
-    if (int const err = check_collective(comm); err != XMPI_SUCCESS) {
-        return err;
-    }
-    CollCtx ctx;
-    ctx.comm = &comm;
-    ctx.sendbuf = sendbuf;
-    ctx.sendcounts = sendcounts;
-    ctx.sdispls = sdispls;
-    ctx.sendtypes = sendtypes;
-    ctx.recvbuf = recvbuf;
-    ctx.recvcounts = recvcounts;
-    ctx.rdispls = rdispls;
-    ctx.recvtypes = recvtypes;
-    int const r = comm.rank();
-    std::size_t const own_bytes =
-        recvtypes[r]->packed_size(static_cast<std::size_t>(recvcounts[r]));
-    return dispatch_coll(tuning::CollOp::alltoallw, make_select_ctx(comm, own_bytes), ctx);
-}
-
-int coll_neighbor_alltoallv(
-    Comm& comm, void const* sendbuf, int const* sendcounts, int const* sdispls,
-    Datatype const& sendtype, void* recvbuf, int const* recvcounts, int const* rdispls,
-    Datatype const& recvtype) {
-    if (int const err = check_collective(comm); err != XMPI_SUCCESS) {
-        return err;
-    }
-    if (!comm.has_topology()) {
-        return XMPI_ERR_TOPOLOGY;
-    }
-    CollCtx ctx;
-    ctx.comm = &comm;
-    ctx.sendbuf = sendbuf;
-    ctx.sendcounts = sendcounts;
-    ctx.sdispls = sdispls;
-    ctx.sendtype = &sendtype;
-    ctx.recvbuf = recvbuf;
-    ctx.recvcounts = recvcounts;
-    ctx.rdispls = rdispls;
-    ctx.recvtype = &recvtype;
-    return dispatch_coll(
-        tuning::CollOp::neighbor_alltoallv, make_select_ctx(comm, 0), ctx);
 }
 
 } // namespace xmpi::detail

@@ -17,13 +17,8 @@ int run_barrier_dissemination(CollCtx& ctx) {
     for (int k = 1; k < p; k <<= 1) {
         int const to = (r + k) % p;
         int const from = (r - k + p) % p;
-        if (int const err = transport_send(
-                comm, to, ctx.channel.tag, ctx.channel.context, nullptr, 0, byte_type);
-            err != XMPI_SUCCESS) {
-            return err;
-        }
-        if (int const err = transport_recv(
-                comm, from, ctx.channel.tag, ctx.channel.context, nullptr, 0, byte_type, nullptr);
+        if (int const err = channel_sendrecv(
+                comm, ctx.channel, to, nullptr, 0, byte_type, from, nullptr, 0, byte_type);
             err != XMPI_SUCCESS) {
             return err;
         }
@@ -46,9 +41,8 @@ int run_bcast_binomial(CollCtx& ctx) {
     while (mask < p) {
         if (vrank & mask) {
             int const parent = vrank - mask;
-            if (int const err = transport_recv(
-                    comm, real(parent), ctx.channel.tag, ctx.channel.context, buffer, count, type,
-                    nullptr);
+            if (int const err =
+                    channel_recv(comm, ctx.channel, real(parent), buffer, count, type);
                 err != XMPI_SUCCESS) {
                 return err;
             }
@@ -60,8 +54,8 @@ int run_bcast_binomial(CollCtx& ctx) {
     while (mask > 0) {
         if (vrank + mask < p) {
             int const child = vrank + mask;
-            if (int const err = transport_send(
-                    comm, real(child), ctx.channel.tag, ctx.channel.context, buffer, count, type);
+            if (int const err =
+                    channel_send(comm, ctx.channel, real(child), buffer, count, type);
                 err != XMPI_SUCCESS) {
                 return err;
             }
@@ -99,20 +93,6 @@ void register_basic_algos(std::vector<CollAlgo>& registry) {
          run_bcast_binomial});
 }
 
-int coll_barrier_on(Comm& comm, CollChannel channel) {
-    if (int const err = check_collective(comm); err != XMPI_SUCCESS) {
-        return err;
-    }
-    CollCtx ctx;
-    ctx.comm = &comm;
-    ctx.channel = channel;
-    return dispatch_coll(tuning::CollOp::barrier, make_select_ctx(comm, 0), ctx);
-}
-
-int coll_barrier(Comm& comm) {
-    return coll_barrier_on(comm, CollChannel{comm.collective_context(), coll_tag::barrier});
-}
-
 Request* coll_ibarrier(Comm& comm) {
     auto& sync = comm.ibarrier_sync();
     int const me = comm.rank();
@@ -145,28 +125,6 @@ Request* coll_ibarrier(Comm& comm) {
         }
     }
     return new IbarrierRequest(&comm, my_round, comm.world().waiter(comm.world_rank_of(me)));
-}
-
-int coll_bcast_on(
-    Comm& comm, CollChannel channel, void* buffer, std::size_t count, Datatype const& type,
-    int root) {
-    if (int const err = check_collective(comm); err != XMPI_SUCCESS) {
-        return err;
-    }
-    CollCtx ctx;
-    ctx.comm = &comm;
-    ctx.channel = channel;
-    ctx.recvbuf = buffer;
-    ctx.recvcount = count;
-    ctx.recvtype = &type;
-    ctx.root = root;
-    return dispatch_coll(tuning::CollOp::bcast, make_select_ctx(comm, type.packed_size(count)), ctx);
-}
-
-int coll_bcast(Comm& comm, void* buffer, std::size_t count, Datatype const& type, int root) {
-    return coll_bcast_on(
-        comm, CollChannel{comm.collective_context(), coll_tag::bcast}, buffer, count, type,
-        root);
 }
 
 } // namespace xmpi::detail

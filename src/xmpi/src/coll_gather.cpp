@@ -19,7 +19,7 @@ int run_gather_linear(CollCtx& ctx) {
     int const r = comm.rank();
     int const root = ctx.root;
     if (r != root) {
-        return coll_send(comm, root, coll_tag::gather, ctx.sendbuf, ctx.sendcount, *ctx.sendtype);
+        return channel_send(comm, ctx.channel, root, ctx.sendbuf, ctx.sendcount, *ctx.sendtype);
     }
     if (!ctx.in_place) {
         local_copy(
@@ -31,8 +31,8 @@ int run_gather_linear(CollCtx& ctx) {
         if (i == root) {
             continue;
         }
-        if (int const err = coll_recv(
-                comm, i, coll_tag::gather,
+        if (int const err = channel_recv(
+                comm, ctx.channel, i,
                 displaced(ctx.recvbuf, i * static_cast<std::ptrdiff_t>(ctx.recvcount), *ctx.recvtype),
                 ctx.recvcount, *ctx.recvtype);
             err != XMPI_SUCCESS) {
@@ -48,7 +48,7 @@ int run_gatherv_linear(CollCtx& ctx) {
     int const r = comm.rank();
     int const root = ctx.root;
     if (r != root) {
-        return coll_send(comm, root, coll_tag::gather, ctx.sendbuf, ctx.sendcount, *ctx.sendtype);
+        return channel_send(comm, ctx.channel, root, ctx.sendbuf, ctx.sendcount, *ctx.sendtype);
     }
     if (!ctx.in_place) {
         local_copy(
@@ -60,8 +60,8 @@ int run_gatherv_linear(CollCtx& ctx) {
         if (i == root) {
             continue;
         }
-        if (int const err = coll_recv(
-                comm, i, coll_tag::gather, displaced(ctx.recvbuf, ctx.rdispls[i], *ctx.recvtype),
+        if (int const err = channel_recv(
+                comm, ctx.channel, i, displaced(ctx.recvbuf, ctx.rdispls[i], *ctx.recvtype),
                 static_cast<std::size_t>(ctx.recvcounts[i]), *ctx.recvtype);
             err != XMPI_SUCCESS) {
             return err;
@@ -114,11 +114,11 @@ int run_scatter_binomial(CollCtx& ctx) {
         if (subtree == 1) {
             // Leaf: a single block arrives as packed bytes and is unpacked
             // with the receive type directly into the user buffer.
-            return coll_recv(comm, parent, coll_tag::scatter, recvbuf, recvcount, recvtype);
+            return channel_recv(comm, ctx.channel, parent, recvbuf, recvcount, recvtype);
         }
         slots.resize(static_cast<std::size_t>(subtree) * block_bytes);
-        if (int const err = coll_recv(
-                comm, parent, coll_tag::scatter, slots.data(), slots.size(), byte_type);
+        if (int const err =
+                channel_recv(comm, ctx.channel, parent, slots.data(), slots.size(), byte_type);
             err != XMPI_SUCCESS) {
             return err;
         }
@@ -138,8 +138,8 @@ int run_scatter_binomial(CollCtx& ctx) {
             continue;
         }
         int const child_blocks = std::min(mask, p - child);
-        if (int const err = coll_send(
-                comm, real(child), coll_tag::scatter,
+        if (int const err = channel_send(
+                comm, ctx.channel, real(child),
                 slots.data() + static_cast<std::size_t>(mask) * block_bytes,
                 static_cast<std::size_t>(child_blocks) * block_bytes, byte_type);
             err != XMPI_SUCCESS) {
@@ -157,14 +157,14 @@ int run_scatter_linear(CollCtx& ctx) {
     int const r = comm.rank();
     int const root = ctx.root;
     if (r != root) {
-        return coll_recv(comm, root, coll_tag::scatter, ctx.recvbuf, ctx.recvcount, *ctx.recvtype);
+        return channel_recv(comm, ctx.channel, root, ctx.recvbuf, ctx.recvcount, *ctx.recvtype);
     }
     for (int i = 0; i < p; ++i) {
         if (i == root) {
             continue;
         }
-        if (int const err = coll_send(
-                comm, i, coll_tag::scatter,
+        if (int const err = channel_send(
+                comm, ctx.channel, i,
                 displaced(ctx.sendbuf, i * static_cast<std::ptrdiff_t>(ctx.sendcount), *ctx.sendtype),
                 ctx.sendcount, *ctx.sendtype);
             err != XMPI_SUCCESS) {
@@ -185,14 +185,14 @@ int run_scatterv_linear(CollCtx& ctx) {
     int const r = comm.rank();
     int const root = ctx.root;
     if (r != root) {
-        return coll_recv(comm, root, coll_tag::scatter, ctx.recvbuf, ctx.recvcount, *ctx.recvtype);
+        return channel_recv(comm, ctx.channel, root, ctx.recvbuf, ctx.recvcount, *ctx.recvtype);
     }
     for (int i = 0; i < p; ++i) {
         if (i == root) {
             continue;
         }
-        if (int const err = coll_send(
-                comm, i, coll_tag::scatter, displaced(ctx.sendbuf, ctx.sdispls[i], *ctx.sendtype),
+        if (int const err = channel_send(
+                comm, ctx.channel, i, displaced(ctx.sendbuf, ctx.sdispls[i], *ctx.sendtype),
                 static_cast<std::size_t>(ctx.sendcounts[i]), *ctx.sendtype);
             err != XMPI_SUCCESS) {
             return err;
@@ -209,7 +209,7 @@ int run_scatterv_linear(CollCtx& ctx) {
 
 /// @brief Recursive-doubling allgather (power-of-two rank counts only):
 /// log2(p) rounds in which each rank exchanges its entire currently known
-/// contiguous run of blocks with its round partner. The entry point already
+/// contiguous run of blocks with its round partner. run_collective already
 /// placed each rank's own block into its receive-buffer row.
 int run_allgather_recursive_doubling(CollCtx& ctx) {
     Comm& comm = *ctx.comm;
@@ -224,10 +224,10 @@ int run_allgather_recursive_doubling(CollCtx& ctx) {
         int const send_base = (r / mask) * mask;
         int const recv_base = (partner / mask) * mask;
         std::size_t const run = static_cast<std::size_t>(mask) * recvcount;
-        if (int const err = coll_sendrecv(
-                comm, partner, coll_tag::allgather,
+        if (int const err = channel_sendrecv(
+                comm, ctx.channel, partner,
                 displaced(recvbuf, send_base * static_cast<std::ptrdiff_t>(recvcount), recvtype),
-                run, recvtype, partner, coll_tag::allgather,
+                run, recvtype, partner,
                 displaced(recvbuf, recv_base * static_cast<std::ptrdiff_t>(recvcount), recvtype),
                 run, recvtype);
             err != XMPI_SUCCESS) {
@@ -251,10 +251,10 @@ int run_allgather_ring(CollCtx& ctx) {
     for (int s = 0; s < p - 1; ++s) {
         int const send_block = (r - s + p) % p;
         int const recv_block = (r - s - 1 + p) % p;
-        if (int const err = coll_sendrecv(
-                comm, next, coll_tag::allgather,
+        if (int const err = channel_sendrecv(
+                comm, ctx.channel, next,
                 displaced(recvbuf, send_block * static_cast<std::ptrdiff_t>(recvcount), recvtype),
-                recvcount, recvtype, prev, coll_tag::allgather,
+                recvcount, recvtype, prev,
                 displaced(recvbuf, recv_block * static_cast<std::ptrdiff_t>(recvcount), recvtype),
                 recvcount, recvtype);
             err != XMPI_SUCCESS) {
@@ -275,11 +275,10 @@ int run_allgatherv_ring(CollCtx& ctx) {
     for (int s = 0; s < p - 1; ++s) {
         int const send_block = (r - s + p) % p;
         int const recv_block = (r - s - 1 + p) % p;
-        if (int const err = coll_sendrecv(
-                comm, next, coll_tag::allgather,
-                displaced(recvbuf, ctx.rdispls[send_block], recvtype),
+        if (int const err = channel_sendrecv(
+                comm, ctx.channel, next, displaced(recvbuf, ctx.rdispls[send_block], recvtype),
                 static_cast<std::size_t>(ctx.recvcounts[send_block]), recvtype, prev,
-                coll_tag::allgather, displaced(recvbuf, ctx.rdispls[recv_block], recvtype),
+                displaced(recvbuf, ctx.rdispls[recv_block], recvtype),
                 static_cast<std::size_t>(ctx.recvcounts[recv_block]), recvtype);
             err != XMPI_SUCCESS) {
             return err;
@@ -363,147 +362,6 @@ void register_gather_algos(std::vector<CollAlgo>& registry) {
          run_allgather_ring});
     registry.push_back(
         {tuning::CollOp::allgatherv, "ring", nullptr, nullptr, nullptr, run_allgatherv_ring});
-}
-
-int coll_gather(
-    Comm& comm, void const* sendbuf, std::size_t sendcount, Datatype const& sendtype,
-    void* recvbuf, std::size_t recvcount, Datatype const& recvtype, int root) {
-    if (int const err = check_collective(comm); err != XMPI_SUCCESS) {
-        return err;
-    }
-    CollCtx ctx;
-    ctx.comm = &comm;
-    ctx.in_place = sendbuf == IN_PLACE;
-    ctx.sendbuf = sendbuf;
-    ctx.sendcount = sendcount;
-    ctx.sendtype = &sendtype;
-    ctx.recvbuf = recvbuf;
-    ctx.recvcount = recvcount;
-    ctx.recvtype = &recvtype;
-    ctx.root = root;
-    return dispatch_coll(
-        tuning::CollOp::gather, make_select_ctx(comm, sendtype.packed_size(sendcount)), ctx);
-}
-
-int coll_gatherv(
-    Comm& comm, void const* sendbuf, std::size_t sendcount, Datatype const& sendtype,
-    void* recvbuf, int const* recvcounts, int const* displs, Datatype const& recvtype, int root) {
-    if (int const err = check_collective(comm); err != XMPI_SUCCESS) {
-        return err;
-    }
-    CollCtx ctx;
-    ctx.comm = &comm;
-    ctx.in_place = sendbuf == IN_PLACE;
-    ctx.sendbuf = sendbuf;
-    ctx.sendcount = sendcount;
-    ctx.sendtype = &sendtype;
-    ctx.recvbuf = recvbuf;
-    ctx.recvcounts = recvcounts;
-    ctx.rdispls = displs;
-    ctx.recvtype = &recvtype;
-    ctx.root = root;
-    return dispatch_coll(
-        tuning::CollOp::gatherv, make_select_ctx(comm, sendtype.packed_size(sendcount)), ctx);
-}
-
-int coll_scatter(
-    Comm& comm, void const* sendbuf, std::size_t sendcount, Datatype const& sendtype,
-    void* recvbuf, std::size_t recvcount, Datatype const& recvtype, int root) {
-    if (int const err = check_collective(comm); err != XMPI_SUCCESS) {
-        return err;
-    }
-    int const r = comm.rank();
-    // The block size is only known root-side (sendtype/sendcount are
-    // significant only at the root), but MPI requires matching signatures,
-    // so every rank derives it from its own receive-side arguments; the
-    // root uses the send side directly.
-    std::size_t const block_bytes =
-        r == root ? sendtype.packed_size(sendcount) : recvtype.packed_size(recvcount);
-    CollCtx ctx;
-    ctx.comm = &comm;
-    ctx.in_place = recvbuf == IN_PLACE;
-    ctx.sendbuf = sendbuf;
-    ctx.sendcount = sendcount;
-    ctx.sendtype = &sendtype;
-    ctx.recvbuf = ctx.in_place ? nullptr : recvbuf;
-    ctx.recvcount = recvcount;
-    ctx.recvtype = &recvtype;
-    ctx.root = root;
-    return dispatch_coll(tuning::CollOp::scatter, make_select_ctx(comm, block_bytes), ctx);
-}
-
-int coll_scatterv(
-    Comm& comm, void const* sendbuf, int const* sendcounts, int const* displs,
-    Datatype const& sendtype, void* recvbuf, std::size_t recvcount, Datatype const& recvtype,
-    int root) {
-    if (int const err = check_collective(comm); err != XMPI_SUCCESS) {
-        return err;
-    }
-    CollCtx ctx;
-    ctx.comm = &comm;
-    ctx.in_place = recvbuf == IN_PLACE;
-    ctx.sendbuf = sendbuf;
-    ctx.sendcounts = sendcounts;
-    ctx.sdispls = displs;
-    ctx.sendtype = &sendtype;
-    ctx.recvbuf = ctx.in_place ? nullptr : recvbuf;
-    ctx.recvcount = recvcount;
-    ctx.recvtype = &recvtype;
-    ctx.root = root;
-    return dispatch_coll(
-        tuning::CollOp::scatterv, make_select_ctx(comm, recvtype.packed_size(recvcount)), ctx);
-}
-
-int coll_allgather(
-    Comm& comm, void const* sendbuf, std::size_t sendcount, Datatype const& sendtype,
-    void* recvbuf, std::size_t recvcount, Datatype const& recvtype) {
-    if (int const err = check_collective(comm); err != XMPI_SUCCESS) {
-        return err;
-    }
-    int const r = comm.rank();
-    // Common setup for every allgather algorithm: the caller's own block
-    // lands in its receive-buffer row before any exchange starts.
-    if (sendbuf != IN_PLACE) {
-        local_copy(
-            sendbuf, sendcount, sendtype,
-            displaced(recvbuf, r * static_cast<std::ptrdiff_t>(recvcount), recvtype), recvcount,
-            recvtype);
-    }
-    CollCtx ctx;
-    ctx.comm = &comm;
-    ctx.channel = CollChannel{comm.collective_context(), coll_tag::allgather};
-    ctx.in_place = sendbuf == IN_PLACE;
-    ctx.recvbuf = recvbuf;
-    ctx.recvcount = recvcount;
-    ctx.recvtype = &recvtype;
-    return dispatch_coll(
-        tuning::CollOp::allgather, make_select_ctx(comm, recvtype.packed_size(recvcount)), ctx);
-}
-
-int coll_allgatherv(
-    Comm& comm, void const* sendbuf, std::size_t sendcount, Datatype const& sendtype,
-    void* recvbuf, int const* recvcounts, int const* displs, Datatype const& recvtype) {
-    if (int const err = check_collective(comm); err != XMPI_SUCCESS) {
-        return err;
-    }
-    int const r = comm.rank();
-    if (sendbuf != IN_PLACE) {
-        local_copy(
-            sendbuf, sendcount, sendtype, displaced(recvbuf, displs[r], recvtype),
-            static_cast<std::size_t>(recvcounts[r]), recvtype);
-    }
-    CollCtx ctx;
-    ctx.comm = &comm;
-    ctx.channel = CollChannel{comm.collective_context(), coll_tag::allgather};
-    ctx.in_place = sendbuf == IN_PLACE;
-    ctx.recvbuf = recvbuf;
-    ctx.recvcounts = recvcounts;
-    ctx.rdispls = displs;
-    ctx.recvtype = &recvtype;
-    return dispatch_coll(
-        tuning::CollOp::allgatherv,
-        make_select_ctx(comm, recvtype.packed_size(static_cast<std::size_t>(recvcounts[r]))),
-        ctx);
 }
 
 } // namespace xmpi::detail

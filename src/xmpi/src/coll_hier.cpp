@@ -55,9 +55,8 @@ int bcast_over(
     int mask = 1;
     while (mask < n) {
         if (vrank & mask) {
-            if (int const err = transport_recv(
-                    comm, real(vrank - mask), channel.tag, channel.context, buffer, count, type,
-                    nullptr);
+            if (int const err =
+                    channel_recv(comm, channel, real(vrank - mask), buffer, count, type);
                 err != XMPI_SUCCESS) {
                 return err;
             }
@@ -68,8 +67,8 @@ int bcast_over(
     mask >>= 1;
     while (mask > 0) {
         if (vrank + mask < n) {
-            if (int const err = transport_send(
-                    comm, real(vrank + mask), channel.tag, channel.context, buffer, count, type);
+            if (int const err =
+                    channel_send(comm, channel, real(vrank + mask), buffer, count, type);
                 err != XMPI_SUCCESS) {
                 return err;
             }
@@ -93,14 +92,12 @@ int reduce_over(
     int mask = 1;
     while (mask < n) {
         if (vrank & mask) {
-            return transport_send(
-                comm, real(vrank - mask), channel.tag, channel.context, buffer, count, type);
+            return channel_send(comm, channel, real(vrank - mask), buffer, count, type);
         }
         int const child = vrank + mask;
         if (child < n) {
-            if (int const err = transport_recv(
-                    comm, real(child), channel.tag, channel.context, incoming.data(), count, type,
-                    nullptr);
+            if (int const err =
+                    channel_recv(comm, channel, real(child), incoming.data(), count, type);
                 err != XMPI_SUCCESS) {
                 return err;
             }
@@ -134,16 +131,14 @@ int rd_allreduce_over(
     int vrank;
     if (my_idx < 2 * rem) {
         if (my_idx % 2 == 0) {
-            if (int const err = transport_send(
-                    comm, peer(my_idx + 1), channel.tag, channel.context, buffer, count, type);
+            if (int const err =
+                    channel_send(comm, channel, peer(my_idx + 1), buffer, count, type);
                 err != XMPI_SUCCESS) {
                 return err;
             }
             vrank = -1; // sits out the doubling rounds, gets the result back
         } else {
-            if (int const err = transport_recv(
-                    comm, peer(my_idx - 1), channel.tag, channel.context, in, count, type,
-                    nullptr);
+            if (int const err = channel_recv(comm, channel, peer(my_idx - 1), in, count, type);
                 err != XMPI_SUCCESS) {
                 return err;
             }
@@ -158,13 +153,8 @@ int rd_allreduce_over(
         auto const real = [&](int vr) { return vr < rem ? 2 * vr + 1 : vr + rem; };
         for (int mask = 1; mask < pow2; mask <<= 1) {
             int const partner = peer(real(vrank ^ mask));
-            if (int const err = transport_send(
-                    comm, partner, channel.tag, channel.context, buffer, count, type);
-                err != XMPI_SUCCESS) {
-                return err;
-            }
-            if (int const err = transport_recv(
-                    comm, partner, channel.tag, channel.context, in, count, type, nullptr);
+            if (int const err = channel_sendrecv(
+                    comm, channel, partner, buffer, count, type, partner, in, count, type);
                 err != XMPI_SUCCESS) {
                 return err;
             }
@@ -174,12 +164,9 @@ int rd_allreduce_over(
 
     if (my_idx < 2 * rem) {
         if (my_idx % 2 == 0) {
-            return transport_recv(
-                comm, peer(my_idx + 1), channel.tag, channel.context, buffer, count, type,
-                nullptr);
+            return channel_recv(comm, channel, peer(my_idx + 1), buffer, count, type);
         }
-        return transport_send(
-            comm, peer(my_idx - 1), channel.tag, channel.context, buffer, count, type);
+        return channel_send(comm, channel, peer(my_idx - 1), buffer, count, type);
     }
     return XMPI_SUCCESS;
 }
@@ -301,11 +288,11 @@ int run_allgather_hier(CollCtx& ctx) {
     std::size_t const recvcount = ctx.recvcount;
     Datatype const& recvtype = *ctx.recvtype;
 
-    // Phase 1: gather the node's blocks at the leader. The entry point
+    // Phase 1: gather the node's blocks at the leader. run_collective
     // already placed each rank's own block in its row.
     if (!grp.is_leader(r)) {
-        if (int const err = transport_send(
-                comm, grp.leader(), ctx.channel.tag, ctx.channel.context,
+        if (int const err = channel_send(
+                comm, ctx.channel, grp.leader(),
                 displaced(recvbuf, r * static_cast<std::ptrdiff_t>(recvcount), recvtype),
                 recvcount, recvtype);
             err != XMPI_SUCCESS) {
@@ -313,10 +300,10 @@ int run_allgather_hier(CollCtx& ctx) {
         }
     } else {
         for (int i = grp.node_begin + 1; i < grp.node_end; ++i) {
-            if (int const err = transport_recv(
-                    comm, i, ctx.channel.tag, ctx.channel.context,
+            if (int const err = channel_recv(
+                    comm, ctx.channel, i,
                     displaced(recvbuf, i * static_cast<std::ptrdiff_t>(recvcount), recvtype),
-                    recvcount, recvtype, nullptr);
+                    recvcount, recvtype);
                 err != XMPI_SUCCESS) {
                 return err;
             }
@@ -335,13 +322,13 @@ int run_allgather_hier(CollCtx& ctx) {
             for (int s = 0; s < nnodes - 1; ++s) {
                 int const send_node = (grp.node - s + nnodes) % nnodes;
                 int const recv_node = (grp.node - s - 1 + nnodes) % nnodes;
-                if (int const err = coll_sendrecv(
-                        comm, next, ctx.channel.tag,
+                if (int const err = channel_sendrecv(
+                        comm, ctx.channel, next,
                         displaced(
                             recvbuf, send_node * g * static_cast<std::ptrdiff_t>(recvcount),
                             recvtype),
                         static_cast<std::size_t>(node_rows(send_node)) * recvcount, recvtype,
-                        prev, ctx.channel.tag,
+                        prev,
                         displaced(
                             recvbuf, recv_node * g * static_cast<std::ptrdiff_t>(recvcount),
                             recvtype),

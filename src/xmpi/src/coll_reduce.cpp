@@ -42,8 +42,7 @@ int run_reduce_linear(CollCtx& ctx) {
     int const p = comm.size();
     int const r = comm.rank();
     if (r != root) {
-        return transport_send(
-            comm, root, channel.tag, channel.context, contribution, count, type);
+        return channel_send(comm, channel, root, contribution, count, type);
     }
     ElementBuffer accumulator(count, type);
     ElementBuffer incoming(count, type);
@@ -55,7 +54,7 @@ int run_reduce_linear(CollCtx& ctx) {
             copy_bytes(dst, contribution, count * static_cast<std::size_t>(type.extent()));
             return XMPI_SUCCESS;
         }
-        return transport_recv(comm, source, channel.tag, channel.context, dst, count, type, nullptr);
+        return channel_recv(comm, channel, source, dst, count, type);
     };
     if (int const err = load(0, accumulator.data()); err != XMPI_SUCCESS) {
         return err;
@@ -93,9 +92,8 @@ int run_reduce_binomial(CollCtx& ctx) {
     while (mask < p) {
         if (vrank & mask) {
             int const parent = vrank - mask;
-            if (int const err = transport_send(
-                    comm, real(parent), channel.tag, channel.context, accumulator.data(), count,
-                    type);
+            if (int const err =
+                    channel_send(comm, channel, real(parent), accumulator.data(), count, type);
                 err != XMPI_SUCCESS) {
                 return err;
             }
@@ -103,9 +101,8 @@ int run_reduce_binomial(CollCtx& ctx) {
         }
         int const child = vrank + mask;
         if (child < p) {
-            if (int const err = transport_recv(
-                    comm, real(child), channel.tag, channel.context, incoming.data(), count,
-                    type, nullptr);
+            if (int const err =
+                    channel_recv(comm, channel, real(child), incoming.data(), count, type);
                 err != XMPI_SUCCESS) {
                 return err;
             }
@@ -172,16 +169,13 @@ int run_allreduce_recursive_doubling(CollCtx& ctx) {
     int vrank;
     if (r < 2 * rem) {
         if (r % 2 == 0) {
-            if (int const err = transport_send(
-                    comm, r + 1, channel.tag, channel.context, acc, count, type);
+            if (int const err = channel_send(comm, channel, r + 1, acc, count, type);
                 err != XMPI_SUCCESS) {
                 return err;
             }
             vrank = -1; // sits out the doubling rounds, gets the result back
         } else {
-            if (int const err = transport_recv(
-                    comm, r - 1, channel.tag, channel.context, in, count, type,
-                    nullptr);
+            if (int const err = channel_recv(comm, channel, r - 1, in, count, type);
                 err != XMPI_SUCCESS) {
                 return err;
             }
@@ -196,15 +190,8 @@ int run_allreduce_recursive_doubling(CollCtx& ctx) {
         auto const real = [&](int vr) { return vr < rem ? 2 * vr + 1 : vr + rem; };
         for (int mask = 1; mask < pow2; mask <<= 1) {
             int const partner = real(vrank ^ mask);
-            // Eager sends complete locally, so send-then-recv cannot deadlock.
-            if (int const err = transport_send(
-                    comm, partner, channel.tag, channel.context, acc, count, type);
-                err != XMPI_SUCCESS) {
-                return err;
-            }
-            if (int const err = transport_recv(
-                    comm, partner, channel.tag, channel.context, in, count, type,
-                    nullptr);
+            if (int const err = channel_sendrecv(
+                    comm, channel, partner, acc, count, type, partner, in, count, type);
                 err != XMPI_SUCCESS) {
                 return err;
             }
@@ -214,13 +201,12 @@ int run_allreduce_recursive_doubling(CollCtx& ctx) {
 
     if (r < 2 * rem) {
         if (r % 2 == 0) {
-            return transport_recv(
-                comm, r + 1, channel.tag, channel.context, recvbuf, count, type, nullptr);
+            return channel_recv(comm, channel, r + 1, recvbuf, count, type);
         }
         if (!in_place) {
             copy_bytes(recvbuf, acc, bytes);
         }
-        return transport_send(comm, r - 1, channel.tag, channel.context, recvbuf, count, type);
+        return channel_send(comm, channel, r - 1, recvbuf, count, type);
     }
     if (!in_place) {
         copy_bytes(recvbuf, acc, bytes);
@@ -230,25 +216,23 @@ int run_allreduce_recursive_doubling(CollCtx& ctx) {
 
 /// @brief Non-commutative allreduce: fold in rank order at rank 0, then
 /// broadcast, so every rank observes the bit-identical rank-ordered result.
+/// Both phases run on the allreduce's own channel.
 int run_allreduce_reduce_bcast(CollCtx& ctx) {
-    Comm& comm = *ctx.comm;
-    CollChannel const channel = ctx.channel;
     CollCtx reduce_ctx = ctx;
     reduce_ctx.root = 0;
-    if (int const err = dispatch_coll(
-            tuning::CollOp::reduce,
-            make_select_ctx(
-                comm, ctx.sendtype->packed_size(ctx.sendcount), ctx.op->commutative()),
-            reduce_ctx);
-        err != XMPI_SUCCESS) {
+    if (int const err = run_collective(tuning::CollOp::reduce, reduce_ctx); err != XMPI_SUCCESS) {
         return err;
     }
-    return coll_bcast_on(comm, channel, ctx.recvbuf, ctx.sendcount, *ctx.sendtype, 0);
+    CollCtx bcast_ctx{
+        .comm = ctx.comm, .channel = ctx.channel, .recvbuf = ctx.recvbuf,
+        .recvcount = ctx.sendcount, .recvtype = ctx.sendtype};
+    return run_collective(tuning::CollOp::bcast, bcast_ctx);
 }
 
 /// @brief Recursive doubling (Hillis–Steele) scan, ceil(log2 p) rounds.
 int run_scan_hillis_steele(CollCtx& ctx) {
     Comm& comm = *ctx.comm;
+    CollChannel const channel = ctx.channel;
     void const* const contribution = ctx.sendbuf;
     void* const recvbuf = ctx.recvbuf;
     std::size_t const count = ctx.sendcount;
@@ -270,14 +254,14 @@ int run_scan_hillis_steele(CollCtx& ctx) {
     for (int k = 1; k < p; k <<= 1) {
         if (r + k < p) {
             if (int const err =
-                    coll_send(comm, r + k, coll_tag::scan, inclusive.data(), count, type);
+                    channel_send(comm, channel, r + k, inclusive.data(), count, type);
                 err != XMPI_SUCCESS) {
                 return err;
             }
         }
         if (r - k >= 0) {
             if (int const err =
-                    coll_recv(comm, r - k, coll_tag::scan, incoming.data(), count, type);
+                    channel_recv(comm, channel, r - k, incoming.data(), count, type);
                 err != XMPI_SUCCESS) {
                 return err;
             }
@@ -311,12 +295,18 @@ int run_reduce_scatter_reduce_then_scatter(CollCtx& ctx) {
     int const r = comm.rank();
     std::size_t const total = recvcount * static_cast<std::size_t>(p);
     ElementBuffer reduced(r == 0 ? total : 0, type);
-    if (int const err = coll_reduce(
-            comm, ctx.sendbuf, r == 0 ? reduced.data() : nullptr, total, type, *ctx.op, 0);
-        err != XMPI_SUCCESS) {
+    CollCtx reduce_ctx{
+        .comm = &comm, .channel = inner_channel(ctx, tuning::CollOp::reduce),
+        .sendbuf = ctx.sendbuf, .recvbuf = r == 0 ? reduced.data() : nullptr, .sendcount = total,
+        .sendtype = &type, .op = ctx.op};
+    if (int const err = run_collective(tuning::CollOp::reduce, reduce_ctx); err != XMPI_SUCCESS) {
         return err;
     }
-    return coll_scatter(comm, reduced.data(), recvcount, type, ctx.recvbuf, recvcount, type, 0);
+    CollCtx scatter_ctx{
+        .comm = &comm, .channel = inner_channel(ctx, tuning::CollOp::scatter),
+        .sendbuf = reduced.data(), .recvbuf = ctx.recvbuf, .sendcount = recvcount,
+        .recvcount = recvcount, .sendtype = &type, .recvtype = &type};
+    return run_collective(tuning::CollOp::scatter, scatter_ctx);
 }
 
 [[nodiscard]] int log2_rounds(int p) {
@@ -373,104 +363,6 @@ void register_reduce_algos(std::vector<CollAlgo>& registry) {
     registry.push_back(
         {tuning::CollOp::reduce_scatter, "reduce_then_scatter", nullptr, nullptr, nullptr,
          run_reduce_scatter_reduce_then_scatter});
-}
-
-int coll_reduce_on(
-    Comm& comm, CollChannel channel, void const* sendbuf, void* recvbuf, std::size_t count,
-    Datatype const& type, Op const& op, int root) {
-    if (int const err = check_collective(comm); err != XMPI_SUCCESS) {
-        return err;
-    }
-    CollCtx ctx;
-    ctx.comm = &comm;
-    ctx.channel = channel;
-    ctx.in_place = sendbuf == IN_PLACE;
-    ctx.sendbuf = ctx.in_place ? recvbuf : sendbuf;
-    ctx.recvbuf = recvbuf;
-    ctx.sendcount = count;
-    ctx.sendtype = &type;
-    ctx.op = &op;
-    ctx.root = root;
-    return dispatch_coll(
-        tuning::CollOp::reduce, make_select_ctx(comm, type.packed_size(count), op.commutative()),
-        ctx);
-}
-
-int coll_reduce(
-    Comm& comm, void const* sendbuf, void* recvbuf, std::size_t count, Datatype const& type,
-    Op const& op, int root) {
-    return coll_reduce_on(
-        comm, CollChannel{comm.collective_context(), coll_tag::reduce}, sendbuf, recvbuf, count,
-        type, op, root);
-}
-
-int coll_allreduce_on(
-    Comm& comm, CollChannel channel, void const* sendbuf, void* recvbuf, std::size_t count,
-    Datatype const& type, Op const& op, ReduceScratch* scratch) {
-    if (int const err = check_collective(comm); err != XMPI_SUCCESS) {
-        return err;
-    }
-    CollCtx ctx;
-    ctx.comm = &comm;
-    ctx.channel = channel;
-    ctx.in_place = sendbuf == IN_PLACE;
-    ctx.sendbuf = ctx.in_place ? recvbuf : sendbuf;
-    ctx.recvbuf = recvbuf;
-    ctx.sendcount = count;
-    ctx.sendtype = &type;
-    ctx.op = &op;
-    ctx.scratch = scratch;
-    return dispatch_coll(
-        tuning::CollOp::allreduce,
-        make_select_ctx(comm, type.packed_size(count), op.commutative()), ctx);
-}
-
-int coll_allreduce(
-    Comm& comm, void const* sendbuf, void* recvbuf, std::size_t count, Datatype const& type,
-    Op const& op) {
-    return coll_allreduce_on(
-        comm, CollChannel{comm.collective_context(), coll_tag::reduce}, sendbuf, recvbuf, count,
-        type, op);
-}
-
-int coll_reduce_scatter_block(
-    Comm& comm, void const* sendbuf, void* recvbuf, std::size_t recvcount, Datatype const& type,
-    Op const& op) {
-    if (int const err = check_collective(comm); err != XMPI_SUCCESS) {
-        return err;
-    }
-    CollCtx ctx;
-    ctx.comm = &comm;
-    ctx.channel = CollChannel{comm.collective_context(), coll_tag::reduce_scatter};
-    ctx.sendbuf = sendbuf;
-    ctx.recvbuf = recvbuf;
-    ctx.recvcount = recvcount;
-    ctx.sendtype = &type;
-    ctx.op = &op;
-    return dispatch_coll(
-        tuning::CollOp::reduce_scatter,
-        make_select_ctx(comm, type.packed_size(recvcount), op.commutative()), ctx);
-}
-
-int coll_scan(
-    Comm& comm, void const* sendbuf, void* recvbuf, std::size_t count, Datatype const& type,
-    Op const& op, bool exclusive) {
-    if (int const err = check_collective(comm); err != XMPI_SUCCESS) {
-        return err;
-    }
-    CollCtx ctx;
-    ctx.comm = &comm;
-    ctx.channel = CollChannel{comm.collective_context(), coll_tag::scan};
-    ctx.in_place = sendbuf == IN_PLACE;
-    ctx.sendbuf = ctx.in_place ? recvbuf : sendbuf;
-    ctx.recvbuf = recvbuf;
-    ctx.sendcount = count;
-    ctx.sendtype = &type;
-    ctx.op = &op;
-    ctx.exclusive = exclusive;
-    return dispatch_coll(
-        tuning::CollOp::scan, make_select_ctx(comm, type.packed_size(count), op.commutative()),
-        ctx);
 }
 
 } // namespace xmpi::detail

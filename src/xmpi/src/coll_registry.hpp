@@ -1,6 +1,18 @@
 /// @file coll_registry.hpp
 /// @brief The collective algorithm registry: one named entry per algorithm,
-/// one selection seam for all of them.
+/// one entry point and one selection seam for all of them.
+///
+/// A collective call is one CollCtx. Its caller — an XMPI entry point
+/// (blocking, or captured into a progress-engine task), an internal user
+/// (comm_mgmt.cpp, win.cpp) or a composite algorithm — fills the raw MPI
+/// arguments and the matching channel, and calls run_collective(). That one
+/// dispatcher owns every per-op rule: the failure check, IN_PLACE
+/// resolution, the selection size and commutativity, the allgather own-block
+/// copy and the neighbor topology check. A persistent request runs the same
+/// rules once at init (bind_collective()) and replays the captured CollCtx
+/// on the captured algorithm. Algorithms send and receive only on
+/// ctx.channel; blocking callers take theirs from blocking_channel(), the
+/// only map from an op to its collective-context tag.
 ///
 /// Every collective translation unit registers its algorithms here instead of
 /// branching on thresholds inline; xmpi::tuning::select() (implemented in
@@ -28,17 +40,21 @@
 #include <vector>
 
 #include "coll.hpp"
+#include "xmpi/datatype.hpp"
+#include "xmpi/op.hpp"
 #include "xmpi/tuning.hpp"
 
 namespace xmpi::detail {
 
-/// @brief Uniform argument record for algorithm run() hooks, covering every
-/// collective shape. Entry points fill the fields their collective has;
-/// algorithms read only the fields their op defines.
+/// @brief Uniform argument record of one collective call, covering every
+/// collective shape. Callers fill the fields their collective has (raw MPI
+/// arguments: IN_PLACE as passed); run_collective()/bind_collective()
+/// resolve IN_PLACE per op, and algorithms read only the fields their op
+/// defines.
 struct CollCtx {
     Comm* comm = nullptr;
     CollChannel channel{0, 0};
-    void const* sendbuf = nullptr; ///< IN_PLACE already resolved by the entry
+    void const* sendbuf = nullptr;
     void* recvbuf = nullptr;
     std::size_t sendcount = 0;
     std::size_t recvcount = 0;
@@ -46,7 +62,7 @@ struct CollCtx {
     Datatype const* recvtype = nullptr;
     Op const* op = nullptr;
     int root = 0;
-    bool in_place = false;  ///< caller passed IN_PLACE (algorithms that must stage check this)
+    bool in_place = false;  ///< set by the dispatcher when IN_PLACE was passed
     bool exclusive = false; ///< scan only (exscan semantics)
     ReduceScratch* scratch = nullptr; ///< optional hoisted scratch (persistent allreduce)
     /// @name v-variant arrays (alltoallv/w, neighbor)
@@ -79,26 +95,35 @@ struct CollAlgo {
 /// objects: a static library may drop a TU nothing references).
 [[nodiscard]] std::vector<CollAlgo> const& coll_registry();
 
-/// @brief Finds the entry (op, name), or nullptr.
-[[nodiscard]] CollAlgo const* find_coll_algo(tuning::CollOp op, char const* name);
-
-/// @brief Runs select() and resolves the winner to its registry entry.
-/// @param selection out-param for the Selection record; may be nullptr.
-[[nodiscard]] CollAlgo const*
-select_coll_algo(tuning::CollOp op, tuning::SelectCtx const& sctx, tuning::Selection* selection);
-
 /// @brief Runs one entry and notes its algorithm name for tracing. The note
 /// happens AFTER the run so composite algorithms (reduce_scatter's inner
 /// reduce + scatter, hierarchical phases) leave the *outermost* name in the
 /// thread-local slot for the binding layer to take.
 int run_coll_algo(CollAlgo const& algo, CollCtx& ctx);
 
-/// @brief select + run in one step: the standard tail of every entry point.
-int dispatch_coll(tuning::CollOp op, tuning::SelectCtx const& sctx, CollCtx& ctx);
+/// @brief The one collective entry: failure check, the op's argument rules,
+/// selection, run. @c ctx must carry the comm, the channel and the op's raw
+/// arguments; it is resolved in place.
+int run_collective(tuning::CollOp op, CollCtx& ctx);
 
-/// @brief Builds a SelectCtx from the live communicator and block size.
-[[nodiscard]] tuning::SelectCtx
-make_select_ctx(Comm& comm, std::size_t block_bytes, bool commutative = true);
+/// @brief run_collective() on @c op's blocking channel: the form every
+/// blocking caller (the XMPI entry points, comm_mgmt.cpp, win.cpp) uses.
+int run_blocking(tuning::CollOp op, CollCtx ctx);
+
+/// @brief The argument rules and selection of run_collective() without the
+/// run: resolves @c ctx in place and returns the chosen entry (nullptr only
+/// for an op without entries). Persistent requests call it once at init and
+/// replay the result.
+[[nodiscard]] CollAlgo const* bind_collective(tuning::CollOp op, CollCtx& ctx);
+
+/// @brief The channel a blocking call of @c op runs on: the communicator's
+/// collective context and the op's coll_tag.
+[[nodiscard]] CollChannel blocking_channel(Comm const& comm, tuning::CollOp op);
+
+/// @brief The channel of a composite algorithm's inner @c op: a blocking
+/// call's phases keep their own kinds' blocking channels; a non-blocking or
+/// persistent channel carries every phase.
+[[nodiscard]] CollChannel inner_channel(CollCtx const& ctx, tuning::CollOp op);
 
 /// @name Shared buffer helpers (hoisted from the collective TUs)
 /// @{

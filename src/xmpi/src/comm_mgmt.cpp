@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "coll.hpp"
+#include "coll_registry.hpp"
 #include "transport.hpp"
 
 namespace xmpi::detail {
@@ -37,6 +38,7 @@ Comm* distribute_new_comm(
     int const me = parent.rank();
     int const leader = member_parent_ranks.front();
     auto* byte_type = predefined_type(BuiltinType::byte_);
+    CollChannel const channel{parent.collective_context(), coll_tag::comm_create};
 
     if (me == leader) {
         auto* newcomm =
@@ -46,15 +48,24 @@ Comm* distribute_new_comm(
         }
         auto const handle = reinterpret_cast<std::uintptr_t>(newcomm);
         for (std::size_t i = 1; i < member_parent_ranks.size(); ++i) {
-            coll_send(
-                parent, member_parent_ranks[i], coll_tag::comm_create, &handle, sizeof(handle),
-                *byte_type);
+            channel_send(
+                parent, channel, member_parent_ranks[i], &handle, sizeof(handle), *byte_type);
         }
         return newcomm;
     }
     std::uintptr_t handle = 0;
-    coll_recv(parent, leader, coll_tag::comm_create, &handle, sizeof(handle), *byte_type);
+    channel_recv(parent, channel, leader, &handle, sizeof(handle), *byte_type);
     return reinterpret_cast<Comm*>(handle);
+}
+
+/// @brief Allgather of two ints per rank — the message pattern a real
+/// implementation's agreement step performs.
+int allgather_pair(Comm& comm, int const (&mine)[2], int* all) {
+    auto const* int_type = predefined_type(BuiltinType::int_);
+    return run_blocking(
+        tuning::CollOp::allgather,
+        {.comm = &comm, .sendbuf = mine, .recvbuf = all, .sendcount = 2, .recvcount = 2,
+         .sendtype = int_type, .recvtype = int_type});
 }
 
 } // namespace
@@ -79,10 +90,7 @@ int comm_split(Comm& comm, int color, int key, Comm** newcomm) {
     // Allgather (color, key) — the message pattern a real split performs.
     std::vector<int> colors_keys(2 * static_cast<std::size_t>(p));
     int const mine[2] = {color, key};
-    auto* int_type = predefined_type(BuiltinType::int_);
-    if (int const err = coll_allgather(
-            comm, mine, 2, *int_type, colors_keys.data(), 2, *int_type);
-        err != XMPI_SUCCESS) {
+    if (int const err = allgather_pair(comm, mine, colors_keys.data()); err != XMPI_SUCCESS) {
         return err;
     }
     if (color == UNDEFINED) {
@@ -116,7 +124,8 @@ int comm_create(Comm& comm, Group const& group, Comm** newcomm) {
         return err;
     }
     // Synchronise like a real implementation (context-id agreement).
-    if (int const err = coll_barrier(comm); err != XMPI_SUCCESS) {
+    if (int const err = run_blocking(tuning::CollOp::barrier, {.comm = &comm});
+        err != XMPI_SUCCESS) {
         return err;
     }
     int const my_world_rank = current_world_rank();
@@ -154,10 +163,7 @@ int dist_graph_create_adjacent(
     // non-scalable strategy, as reported in the paper.
     std::vector<int> degrees(2 * static_cast<std::size_t>(comm.size()));
     int const mine[2] = {indegree, outdegree};
-    auto* int_type = predefined_type(BuiltinType::int_);
-    if (int const err =
-            coll_allgather(comm, mine, 2, *int_type, degrees.data(), 2, *int_type);
-        err != XMPI_SUCCESS) {
+    if (int const err = allgather_pair(comm, mine, degrees.data()); err != XMPI_SUCCESS) {
         return err;
     }
 
@@ -174,7 +180,7 @@ int dist_graph_create_adjacent(
     *newcomm = distribute_new_comm(comm, parent_ranks, comm.members());
     (*newcomm)->set_rank_topology(comm.rank(), std::move(topology));
     // All ranks must have registered before any neighborhood collective runs.
-    return coll_barrier(**newcomm);
+    return run_blocking(tuning::CollOp::barrier, {.comm = *newcomm});
 }
 
 } // namespace xmpi::detail

@@ -225,7 +225,12 @@ Comm* World::epoch_sync() {
         }
         return false;
     });
-    es.current->retain();
+    // The epoch-0 communicator is the world communicator: the World owns it
+    // and XMPI_Comm_free refuses it, so it is handed out unretained. Every
+    // later epoch's communicator is retained for the caller to free.
+    if (es.current != world_comm()) {
+        es.current->retain();
+    }
     return es.current;
 }
 

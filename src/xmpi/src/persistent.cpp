@@ -8,11 +8,9 @@
 /// persistent request inactive again instead of consuming it.
 #include "persistent.hpp"
 
-#include <functional>
 #include <utility>
 #include <vector>
 
-#include "coll.hpp"
 #include "coll_registry.hpp"
 #include "transport.hpp"
 #include "xmpi/pool.hpp"
@@ -172,44 +170,58 @@ private:
     int tag_;
 };
 
-/// @brief Persistent collective: every start opens a fresh matching channel
-/// (nbc context + per-initiation sequence, so starts order like NBC
-/// initiations across ranks) but defers execution. wait() runs the stored
-/// body INLINE on the waiting thread — the same wire path as the blocking
+/// @brief What a persistent collective binds at init: the CollCtx with its
+/// own channel, the algorithm bind_collective() chose, and the storage the
+/// ctx points into. Shared with the engine task of a polled round, so the
+/// round may outlive the request object.
+struct CollPlan {
+    CollCtx ctx;
+    CollAlgo const* algo = nullptr;
+    ReduceScratch scratch;  ///< hoisted: restarts after the first run allocation-free
+    std::vector<int> shape; ///< alltoall: sendcounts, sdispls, recvcounts, rdispls
+
+    /// @brief One round: the failure check, then the captured algorithm.
+    int replay() {
+        if (int const err = check_collective(*ctx.comm); err != XMPI_SUCCESS) {
+            return err;
+        }
+        return run_coll_algo(*algo, ctx);
+    }
+};
+
+/// @brief Persistent collective. The matching channel is part of the
+/// binding: allocated once at init (nbc context + per-initiation sequence,
+/// collective — every rank draws the same sequence, so plans order like NBC
+/// initiations across ranks) and reused by every restart. Safe for the same
+/// reason blocking collectives reuse one fixed tag per kind: transport
+/// matching is FIFO per (source, context, tag), and a request cannot
+/// restart before its previous round completed locally. wait() runs the
+/// round INLINE on the waiting thread — the same wire path as the blocking
 /// one-shot collective, so a start/wait round costs only the Start
 /// bookkeeping on top of the collective itself (no progress-engine queue
 /// and wakeup latency). A test()/peek() poll must not block, so polling
-/// instead submits the body to the shared progress engine once; completion
+/// instead submits the round to the shared progress engine once; completion
 /// then follows the usual inner-request path. Mixed usage composes: a rank
-/// waiting inline rendezvouses with a peer whose body runs on an engine
+/// waiting inline rendezvouses with a peer whose round runs on an engine
 /// worker, exactly as blocking and non-blocking collectives already do.
 class PersistentCollRequest final : public PersistentRequest {
 public:
-    PersistentCollRequest(char const* op, Comm* comm, std::function<int(CollChannel)> body)
+    PersistentCollRequest(char const* op, std::shared_ptr<CollPlan> plan)
         : op_(op),
-          comm_(comm),
-          body_(std::move(body)) {
-        // The matching channel is part of the binding: allocated once at
-        // init (collective — every rank draws the same sequence) and reused
-        // by every restart. Safe for the same reason blocking collectives
-        // reuse one fixed tag per kind: transport matching is FIFO per
-        // (source, context, tag), and a request cannot restart before its
-        // previous round completed locally.
-        channel_ = CollChannel{comm->nbc_context(), comm->next_nbc_sequence()};
-    }
+          plan_(std::move(plan)) {}
 
     ~PersistentCollRequest() override {
         // Freed while started but never waited or polled: peers may already
         // be inside this round's rendezvous — run our part before teardown.
         if (active_ && inner_ == nullptr) {
-            (void)body_(channel_);
+            (void)plan_->replay();
             active_ = false;
         }
     }
 
     void wait(Status& status) override {
         if (active_ && inner_ == nullptr) {
-            int const err = body_(channel_);
+            int const err = plan_->replay();
             status = Status{UNDEFINED, UNDEFINED, err, 0};
             active_ = false;
             return;
@@ -229,7 +241,7 @@ public:
 
 protected:
     int do_start() override {
-        // Nothing per start: the channel was bound at init, and the round
+        // Nothing per start: everything was bound at init, and the round
         // itself runs lazily — inline at wait() or on the progress engine
         // at the first test()/peek().
         return XMPI_SUCCESS;
@@ -238,18 +250,26 @@ protected:
 private:
     void ensure_submitted() {
         if (active_ && inner_ == nullptr) {
-            inner_.reset(
-                progress::detail::submit(op_, comm_, [body = body_, channel = channel_] {
-                    return body(channel);
-                }));
+            inner_.reset(progress::detail::submit(
+                op_, plan_->ctx.comm, [plan = plan_] { return plan->replay(); }));
         }
     }
 
     char const* op_;
-    Comm* comm_;
-    std::function<int(CollChannel)> body_;
-    CollChannel channel_{};
+    std::shared_ptr<CollPlan> plan_;
 };
+
+/// @brief Binds @c plan->ctx: its own channel, the argument rules and the
+/// algorithm selection (including from a tuning table loaded at init time)
+/// happen here once; every restart replays them without re-consulting
+/// select().
+Request* bind_persistent(char const* name, tuning::CollOp op, std::shared_ptr<CollPlan> plan) {
+    CollCtx& ctx = plan->ctx;
+    ctx.channel = CollChannel{ctx.comm->nbc_context(), ctx.comm->next_nbc_sequence()};
+    ctx.scratch = &plan->scratch;
+    plan->algo = bind_collective(op, ctx);
+    return new PersistentCollRequest(name, std::move(plan));
+}
 
 } // namespace
 
@@ -267,128 +287,30 @@ Request* make_persistent_recv(
 // Persistent collectives
 // ---------------------------------------------------------------------------
 
-Request* make_persistent_bcast(
-    Comm& comm, void* buffer, std::size_t count, Datatype const& type, int root) {
-    auto* comm_ptr = &comm;
-    auto const* type_ptr = &type;
-    // Algorithm selection is part of the binding: the entry chosen here
-    // (including from a tuning table loaded at init time) is replayed by
-    // every restart, so a round never re-consults select().
-    CollAlgo const* const algo = select_coll_algo(
-        tuning::CollOp::bcast, make_select_ctx(comm, type.packed_size(count)), nullptr);
-    return new PersistentCollRequest(
-        "bcast_init", comm_ptr,
-        [comm_ptr, buffer, count, type_ptr, root, algo](CollChannel channel) {
-            if (int const err = check_collective(*comm_ptr); err != XMPI_SUCCESS) {
-                return err;
-            }
-            CollCtx ctx;
-            ctx.comm = comm_ptr;
-            ctx.channel = channel;
-            ctx.recvbuf = buffer;
-            ctx.recvcount = count;
-            ctx.recvtype = type_ptr;
-            ctx.root = root;
-            return run_coll_algo(*algo, ctx);
-        });
+Request* make_persistent_collective(char const* name, tuning::CollOp op, CollCtx const& ctx) {
+    auto plan = std::make_shared<CollPlan>();
+    plan->ctx = ctx;
+    return bind_persistent(name, op, std::move(plan));
 }
 
-Request* make_persistent_allreduce(
-    Comm& comm, void const* sendbuf, void* recvbuf, std::size_t count, Datatype const& type,
-    Op const& op) {
-    auto* comm_ptr = &comm;
-    auto const* type_ptr = &type;
-    auto const* op_ptr = &op;
-    // Scratch is hoisted into the request: restarts after the first run
-    // allocation-free. A persistent request never restarts concurrently with
-    // its own completion, so the shared scratch is never contended.
-    auto scratch = std::make_shared<ReduceScratch>();
-    CollAlgo const* const algo = select_coll_algo(
-        tuning::CollOp::allreduce,
-        make_select_ctx(comm, type.packed_size(count), op.commutative()), nullptr);
-    return new PersistentCollRequest(
-        "allreduce_init", comm_ptr,
-        [comm_ptr, sendbuf, recvbuf, count, type_ptr, op_ptr, scratch,
-         algo](CollChannel channel) {
-            if (int const err = check_collective(*comm_ptr); err != XMPI_SUCCESS) {
-                return err;
-            }
-            CollCtx ctx;
-            ctx.comm = comm_ptr;
-            ctx.channel = channel;
-            ctx.in_place = sendbuf == IN_PLACE;
-            ctx.sendbuf = ctx.in_place ? recvbuf : sendbuf;
-            ctx.recvbuf = recvbuf;
-            ctx.sendcount = count;
-            ctx.sendtype = type_ptr;
-            ctx.op = op_ptr;
-            ctx.scratch = scratch.get();
-            return run_coll_algo(*algo, ctx);
-        });
-}
-
-Request* make_persistent_alltoall(
-    Comm& comm, void const* sendbuf, std::size_t sendcount, Datatype const& sendtype,
-    void* recvbuf, std::size_t recvcount, Datatype const& recvtype) {
+Request* make_persistent_alltoall(CollCtx const& ctx) {
     // The alltoallv shape (counts and displacements per peer) is derived
     // exactly once here; restarts replay it without recomputation.
-    struct Shape {
-        std::vector<int> sendcounts, sdispls, recvcounts, rdispls;
-    };
-    auto shape = std::make_shared<Shape>();
-    int const p = comm.size();
-    shape->sendcounts.reserve(static_cast<std::size_t>(p));
-    shape->sdispls.reserve(static_cast<std::size_t>(p));
-    shape->recvcounts.reserve(static_cast<std::size_t>(p));
-    shape->rdispls.reserve(static_cast<std::size_t>(p));
-    for (int i = 0; i < p; ++i) {
-        shape->sendcounts.push_back(static_cast<int>(sendcount));
-        shape->sdispls.push_back(i * static_cast<int>(sendcount));
-        shape->recvcounts.push_back(static_cast<int>(recvcount));
-        shape->rdispls.push_back(i * static_cast<int>(recvcount));
+    auto plan = std::make_shared<CollPlan>();
+    plan->ctx = ctx;
+    auto const p = static_cast<std::size_t>(ctx.comm->size());
+    plan->shape.resize(4 * p);
+    for (std::size_t i = 0; i < p; ++i) {
+        plan->shape[i] = static_cast<int>(ctx.sendcount);
+        plan->shape[p + i] = static_cast<int>(i * ctx.sendcount);
+        plan->shape[2 * p + i] = static_cast<int>(ctx.recvcount);
+        plan->shape[3 * p + i] = static_cast<int>(i * ctx.recvcount);
     }
-    auto* comm_ptr = &comm;
-    auto const* send_type = &sendtype;
-    auto const* recv_type = &recvtype;
-    CollAlgo const* const algo = select_coll_algo(
-        tuning::CollOp::alltoallv, make_select_ctx(comm, recvtype.packed_size(recvcount)),
-        nullptr);
-    return new PersistentCollRequest(
-        "alltoall_init", comm_ptr,
-        [comm_ptr, sendbuf, send_type, recvbuf, recv_type, shape, algo](CollChannel channel) {
-            if (int const err = check_collective(*comm_ptr); err != XMPI_SUCCESS) {
-                return err;
-            }
-            CollCtx ctx;
-            ctx.comm = comm_ptr;
-            ctx.channel = channel;
-            ctx.in_place = sendbuf == IN_PLACE;
-            ctx.sendbuf = sendbuf;
-            ctx.sendcounts = shape->sendcounts.data();
-            ctx.sdispls = shape->sdispls.data();
-            ctx.sendtype = send_type;
-            ctx.recvbuf = recvbuf;
-            ctx.recvcounts = shape->recvcounts.data();
-            ctx.rdispls = shape->rdispls.data();
-            ctx.recvtype = recv_type;
-            return run_coll_algo(*algo, ctx);
-        });
-}
-
-Request* make_persistent_barrier(Comm& comm) {
-    auto* comm_ptr = &comm;
-    CollAlgo const* const algo =
-        select_coll_algo(tuning::CollOp::barrier, make_select_ctx(comm, 0), nullptr);
-    return new PersistentCollRequest(
-        "barrier_init", comm_ptr, [comm_ptr, algo](CollChannel channel) {
-            if (int const err = check_collective(*comm_ptr); err != XMPI_SUCCESS) {
-                return err;
-            }
-            CollCtx ctx;
-            ctx.comm = comm_ptr;
-            ctx.channel = channel;
-            return run_coll_algo(*algo, ctx);
-        });
+    plan->ctx.sendcounts = plan->shape.data();
+    plan->ctx.sdispls = plan->shape.data() + p;
+    plan->ctx.recvcounts = plan->shape.data() + 2 * p;
+    plan->ctx.rdispls = plan->shape.data() + 3 * p;
+    return bind_persistent("alltoall_init", tuning::CollOp::alltoallv, std::move(plan));
 }
 
 // ---------------------------------------------------------------------------

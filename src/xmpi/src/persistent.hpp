@@ -9,6 +9,7 @@
 #include <memory>
 #include <mutex>
 
+#include "coll_registry.hpp"
 #include "xmpi/comm.hpp"
 #include "xmpi/datatype.hpp"
 #include "xmpi/op.hpp"
@@ -26,15 +27,13 @@ Request* make_persistent_send(
     Comm& comm, void const* buf, std::size_t count, Datatype const& type, int dest, int tag);
 Request* make_persistent_recv(
     Comm& comm, void* buf, std::size_t count, Datatype const& type, int source, int tag);
-Request* make_persistent_bcast(
-    Comm& comm, void* buffer, std::size_t count, Datatype const& type, int root);
-Request* make_persistent_allreduce(
-    Comm& comm, void const* sendbuf, void* recvbuf, std::size_t count, Datatype const& type,
-    Op const& op);
-Request* make_persistent_alltoall(
-    Comm& comm, void const* sendbuf, std::size_t sendcount, Datatype const& sendtype,
-    void* recvbuf, std::size_t recvcount, Datatype const& recvtype);
-Request* make_persistent_barrier(Comm& comm);
+/// @brief XMPI_<Op>_init of a registry collective: captures @c ctx (filled
+/// as for run_collective(), channel excepted — the plan draws its own)
+/// together with the algorithm selected now.
+Request* make_persistent_collective(char const* name, tuning::CollOp op, CollCtx const& ctx);
+/// @brief XMPI_Alltoall_init: @c ctx filled as for an alltoall; the plan
+/// replays it as an alltoallv with a shape derived once.
+Request* make_persistent_alltoall(CollCtx const& ctx);
 /// @}
 
 /// @brief Partitioned send (XMPI_Psend_init): the buffer is @c partitions

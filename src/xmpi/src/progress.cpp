@@ -186,9 +186,9 @@ private:
     /// all ranks). Stealing *another* rank's task would let the caller
     /// block inside a collective whose remaining contributions are still
     /// queued — with every thread wedged that way the queue deadlocks.
-    /// Returns true iff a task ran.
-    bool help_own() {
-        auto const& ctx = xmpi::detail::current_context();
+    /// @c ctx is the rank whose tasks are eligible (the caller's own, or the
+    /// initiator a submit_as acts for). Returns true iff a task ran.
+    bool help_own(xmpi::detail::RankContext const& ctx) {
         if (ctx.world == nullptr) {
             return false;
         }
@@ -215,7 +215,7 @@ private:
         if (claimed == nullptr) {
             return false;
         }
-        if (auto* counters = counters_of(xmpi::detail::current_context())) {
+        if (auto* counters = counters_of(ctx)) {
             counters->engine_caller_steals.fetch_add(1, std::memory_order_relaxed);
         }
         run_task(claimed);
@@ -438,21 +438,36 @@ Request* Engine::submit(
 
     auto* counters = counters_of(task->ctx);
     bool inline_fallback = false;
-    {
-        std::lock_guard lock(mutex_);
-        ensure_workers_locked();
-        if (queue_.size() >= config_.queue_capacity) {
-            // Backpressure: the initiating rank runs the collective inline
-            // (eager fallback — equivalent to the blocking form).
-            inline_fallback = true;
-            claim_locked(task); // claim-time failure checks still apply
-        } else {
-            queue_.push_back(task);
-            if (counters != nullptr) {
-                counters->engine_tasks.fetch_add(1, std::memory_order_relaxed);
-                bump_max(counters->engine_queue_depth_max, queue_.size());
+    // Backpressure: while the queue is full the initiator runs its own
+    // queued tasks, oldest first, until a slot frees. Only with none of its
+    // own queued does it run the new task inline (equivalent to the
+    // blocking form). Either way the rank's collectives run in initiation
+    // order: running the new task ahead of its own older queued ones would
+    // block it on peers whose matching older tasks wait behind them.
+    for (;;) {
+        {
+            std::lock_guard lock(mutex_);
+            ensure_workers_locked();
+            if (queue_.size() < config_.queue_capacity) {
+                queue_.push_back(task);
+                if (counters != nullptr) {
+                    counters->engine_tasks.fetch_add(1, std::memory_order_relaxed);
+                    bump_max(counters->engine_queue_depth_max, queue_.size());
+                }
+                break;
+            }
+            if (ctx.world == nullptr
+                || std::none_of(queue_.begin(), queue_.end(), [&](TaskPtr const& queued) {
+                       return queued->ctx.world == ctx.world
+                              && queued->ctx.world_rank == ctx.world_rank
+                              && queued->state.load(std::memory_order_relaxed) == Task::queued;
+                   })) {
+                inline_fallback = true;
+                claim_locked(task); // claim-time failure checks still apply
+                break;
             }
         }
+        (void)help_own(ctx);
     }
     if (inline_fallback) {
         if (counters != nullptr) {
@@ -481,7 +496,7 @@ void Engine::wait(TaskPtr const& task) {
         }
         // Our task runs elsewhere: drain our own queued tasks first (their
         // peers may be waiting on exactly these).
-        if (help_own()) {
+        if (help_own(caller)) {
             continue;
         }
         // Keep the caller's transport rings draining while it blocks here:
@@ -543,7 +558,7 @@ void Engine::on_request_destroyed(TaskPtr const& task) {
 }
 
 bool Engine::poll() {
-    return help_own();
+    return help_own(xmpi::detail::current_context());
 }
 
 } // namespace

@@ -400,27 +400,27 @@ int transport_irecv(
     return XMPI_SUCCESS;
 }
 
-int coll_send(
-    Comm& comm, int dest, int tag, void const* buf, std::size_t count, Datatype const& type) {
-    return transport_send(comm, dest, tag, comm.collective_context(), buf, count, type);
+int channel_send(
+    Comm& comm, CollChannel channel, int dest, void const* buf, std::size_t count,
+    Datatype const& type) {
+    return transport_send(comm, dest, channel.tag, channel.context, buf, count, type);
 }
 
-int coll_recv(
-    Comm& comm, int source, int tag, void* buf, std::size_t count, Datatype const& type,
-    Status* status) {
-    return transport_recv(comm, source, tag, comm.collective_context(), buf, count, type, status);
+int channel_recv(
+    Comm& comm, CollChannel channel, int source, void* buf, std::size_t count,
+    Datatype const& type) {
+    return transport_recv(comm, source, channel.tag, channel.context, buf, count, type, nullptr);
 }
 
-int coll_sendrecv(
-    Comm& comm, int dest, int send_tag, void const* sendbuf, std::size_t sendcount,
-    Datatype const& sendtype, int source, int recv_tag, void* recvbuf, std::size_t recvcount,
+int channel_sendrecv(
+    Comm& comm, CollChannel channel, int dest, void const* sendbuf, std::size_t sendcount,
+    Datatype const& sendtype, int source, void* recvbuf, std::size_t recvcount,
     Datatype const& recvtype) {
-    // Eager sends complete locally, so send-then-recv cannot deadlock.
-    if (int const err = coll_send(comm, dest, send_tag, sendbuf, sendcount, sendtype);
+    if (int const err = channel_send(comm, channel, dest, sendbuf, sendcount, sendtype);
         err != XMPI_SUCCESS) {
         return err;
     }
-    return coll_recv(comm, source, recv_tag, recvbuf, recvcount, recvtype);
+    return channel_recv(comm, channel, source, recvbuf, recvcount, recvtype);
 }
 
 int check_collective(Comm const& comm) {

@@ -43,18 +43,29 @@ int transport_irecv(
     Comm& comm, int source, int tag, int context, void* buf, std::size_t count,
     Datatype const& type, Request** request);
 
-/// @name Collective-context convenience wrappers (used by coll_*.cpp)
+/// @brief Matching channel of one collective instance: blocking
+/// collectives use (collective context, per-kind tag); non-blocking and
+/// persistent ones (nbc context, per-initiation sequence tag) so several can
+/// be in flight. Collective algorithms send and receive only on the channel
+/// their CollCtx carries.
+struct CollChannel {
+    int context;
+    int tag;
+};
+
+/// @name Channel wrappers used by the collective algorithms
 /// @{
-int coll_send(
-    Comm& comm, int dest, int tag, void const* buf, std::size_t count, Datatype const& type);
-int coll_recv(
-    Comm& comm, int source, int tag, void* buf, std::size_t count, Datatype const& type,
-    Status* status = nullptr);
-/// @brief Simultaneous send+recv in the collective context (avoids deadlock
-/// in pairwise exchange rounds by posting the receive first).
-int coll_sendrecv(
-    Comm& comm, int dest, int send_tag, void const* sendbuf, std::size_t sendcount,
-    Datatype const& sendtype, int source, int recv_tag, void* recvbuf, std::size_t recvcount,
+int channel_send(
+    Comm& comm, CollChannel channel, int dest, void const* buf, std::size_t count,
+    Datatype const& type);
+int channel_recv(
+    Comm& comm, CollChannel channel, int source, void* buf, std::size_t count,
+    Datatype const& type);
+/// @brief Send then receive on one channel (eager sends complete locally, so
+/// pairwise exchange rounds cannot deadlock).
+int channel_sendrecv(
+    Comm& comm, CollChannel channel, int dest, void const* sendbuf, std::size_t sendcount,
+    Datatype const& sendtype, int source, void* recvbuf, std::size_t recvcount,
     Datatype const& recvtype);
 /// @}
 

@@ -9,6 +9,7 @@
 #include "xmpi/world.hpp"
 
 #include "coll.hpp"
+#include "coll_registry.hpp"
 #include "transport.hpp"
 
 namespace xmpi {
@@ -418,7 +419,7 @@ int Win::fence() {
     auto& counters = counters_of(origin);
     counters.rma_epoch_waits.fetch_add(1, std::memory_order_relaxed);
     double const barrier_start = wtime();
-    int const barrier_err = detail::coll_barrier(*comm_);
+    int const barrier_err = detail::run_blocking(tuning::CollOp::barrier, {.comm = comm_});
     profile::note_epoch_wait(wtime() - barrier_start);
     if (err == XMPI_SUCCESS) {
         err = barrier_err;
@@ -536,6 +537,16 @@ int Win::unlock(int target) {
 // ---------------------------------------------------------------------------
 
 namespace detail {
+namespace {
+
+/// @brief Broadcasts rank 0's shared-window pointer.
+int bcast_handle(Comm& comm, std::uintptr_t* handle) {
+    return run_blocking(
+        tuning::CollOp::bcast, {.comm = &comm, .recvbuf = handle, .recvcount = sizeof(*handle),
+                                .recvtype = predefined_type(BuiltinType::byte_)});
+}
+
+} // namespace
 
 int win_create(void* base, std::size_t bytes, int disp_unit, Comm& comm, Win** win) {
     *win = nullptr;
@@ -555,9 +566,7 @@ int win_create(void* base, std::size_t bytes, int disp_unit, Comm& comm, Win** w
         }
     }
     std::uintptr_t handle = reinterpret_cast<std::uintptr_t>(shared);
-    if (int const err = coll_bcast(
-            comm, &handle, sizeof(handle), *predefined_type(BuiltinType::byte_), 0);
-        err != XMPI_SUCCESS) {
+    if (int const err = bcast_handle(comm, &handle); err != XMPI_SUCCESS) {
         if (me == 0) {
             for (int member = 1; member < comm.size(); ++member) {
                 shared->release();
@@ -568,7 +577,7 @@ int win_create(void* base, std::size_t bytes, int disp_unit, Comm& comm, Win** w
     }
     shared = reinterpret_cast<Win*>(handle);
     shared->expose(me, base, bytes, disp_unit);
-    int const err = coll_barrier(comm);
+    int const err = run_blocking(tuning::CollOp::barrier, {.comm = &comm});
     *win = shared;
     return err;
 }
@@ -591,9 +600,7 @@ int win_allocate(std::size_t bytes, int disp_unit, Comm& comm, void** baseptr, W
         }
     }
     std::uintptr_t handle = reinterpret_cast<std::uintptr_t>(shared);
-    if (int const err = coll_bcast(
-            comm, &handle, sizeof(handle), *predefined_type(BuiltinType::byte_), 0);
-        err != XMPI_SUCCESS) {
+    if (int const err = bcast_handle(comm, &handle); err != XMPI_SUCCESS) {
         if (me == 0) {
             for (int member = 1; member < comm.size(); ++member) {
                 shared->release();
@@ -604,7 +611,7 @@ int win_allocate(std::size_t bytes, int disp_unit, Comm& comm, void** baseptr, W
     }
     shared = reinterpret_cast<Win*>(handle);
     void* base = shared->allocate_region(me, bytes, disp_unit);
-    int const err = coll_barrier(comm);
+    int const err = run_blocking(tuning::CollOp::barrier, {.comm = &comm});
     *baseptr = base;
     *win = shared;
     return err;
@@ -622,7 +629,7 @@ int win_free(Win& win) {
     // still drain ops into this window. With failed members the barrier
     // reports the failure; the reference is dropped regardless so surviving
     // ranks do not leak theirs.
-    int const err = coll_barrier(win.comm());
+    int const err = run_blocking(tuning::CollOp::barrier, {.comm = &win.comm()});
     win.release();
     return err;
 }

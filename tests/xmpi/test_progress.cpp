@@ -190,6 +190,42 @@ TEST_F(ProgressTest, FullQueueFallsBackToInlineExecution) {
     });
 }
 
+// More in-flight operations than the default queue holds (4 ranks x 512 >
+// 1024): once the queue is full an initiator must run its own queued tasks,
+// oldest first, before a slot frees. Running the NEW task inline instead
+// blocks it on peers whose matching older tasks still wait in the queue —
+// the engine used to hang here from about 300 operations per rank.
+TEST_F(ProgressTest, FullQueueDrainsOwnQueuedTasksBeforeRunningInline) {
+    constexpr int kRanks = 4;
+    constexpr int kComms = 4;
+    constexpr int kInFlight = 512; // per rank
+
+    World::run_ranked(kRanks, [&](int rank) {
+        std::array<XMPI_Comm, kComms> comms{};
+        for (auto& comm: comms) {
+            ASSERT_EQ(XMPI_Comm_dup(XMPI_COMM_WORLD, &comm), XMPI_SUCCESS);
+        }
+        std::vector<int> sendbuf(kInFlight);
+        std::vector<int> recvbuf(kInFlight, -1);
+        std::vector<XMPI_Request> requests(kInFlight, XMPI_REQUEST_NULL);
+        for (int i = 0; i < kInFlight; ++i) {
+            sendbuf[i] = rank * kInFlight + i;
+            ASSERT_EQ(
+                XMPI_Iallreduce(
+                    &sendbuf[i], &recvbuf[i], 1, XMPI_INT, XMPI_SUM, comms[i % kComms],
+                    &requests[i]),
+                XMPI_SUCCESS);
+        }
+        ASSERT_EQ(XMPI_Waitall(kInFlight, requests.data(), XMPI_STATUSES_IGNORE), XMPI_SUCCESS);
+        for (int i = 0; i < kInFlight; ++i) {
+            EXPECT_EQ(recvbuf[i], kInFlight * kRanks * (kRanks - 1) / 2 + kRanks * i);
+        }
+        for (auto& comm: comms) {
+            XMPI_Comm_free(&comm);
+        }
+    });
+}
+
 // Revoking a communicator must fail its queued-but-unstarted tasks in place:
 // a later test() reports XMPI_ERR_REVOKED via the sweep (ulfm_revoke ->
 // fail_queued_for_comm), not by running the collective on a dead
