@@ -2,7 +2,8 @@
 /// @brief Measured collective-algorithm sweep (the autotuner harness).
 ///
 /// CommBench-style grid: pattern (bcast / allreduce / allgather / alltoall)
-/// x world size x payload, measuring *every* registry candidate for each
+/// x world size x payload (allreduce on a finer payload grid up to 64 KiB,
+/// across the ring's crossover), measuring *every* registry candidate for each
 /// cell by forcing it (tuning::coll().force_algorithm) over warmup + timed
 /// iterations. The winner per cell is written to tuning_table.json in the
 /// format xmpi::tuning::load_tuning_table() consumes (XMPI_TUNING_TABLE),
@@ -50,12 +51,14 @@ namespace tuning = xmpi::tuning;
 using tuning::CollOp;
 
 constexpr int kNodeSize = 4; ///< grouping under test (two nodes at p = 8, four at p = 16)
+constexpr int kSmallCount = 16; ///< the smallest payload of every pattern (64 B)
 
 struct Pattern {
     char const* name;
     CollOp op;
     /// Runs one round; buffers are preallocated to p*count ints each.
     void (*round)(int rank, int p, int count, std::vector<int>& a, std::vector<int>& b);
+    std::vector<int> counts; ///< ints per block, ascending
 };
 
 void round_bcast(int, int, int count, std::vector<int>& a, std::vector<int>&) {
@@ -71,11 +74,13 @@ void round_alltoall(int, int, int count, std::vector<int>& a, std::vector<int>& 
     XMPI_Alltoall(a.data(), count, XMPI_INT, b.data(), count, XMPI_INT, XMPI_COMM_WORLD);
 }
 
-constexpr Pattern kPatterns[] = {
-    {"bcast", CollOp::bcast, round_bcast},
-    {"allreduce", CollOp::allreduce, round_allreduce},
-    {"allgather", CollOp::allgather, round_allgather},
-    {"alltoall", CollOp::alltoall, round_alltoall},
+/// 64 B and 16 KiB blocks; allreduce adds 4 KiB and 64 KiB payloads around
+/// the ring's crossover (tuning::ring_allreduce_min_bytes).
+Pattern const kPatterns[] = {
+    {"bcast", CollOp::bcast, round_bcast, {16, 4096}},
+    {"allreduce", CollOp::allreduce, round_allreduce, {16, 1024, 4096, 16384}},
+    {"allgather", CollOp::allgather, round_allgather, {16, 4096}},
+    {"alltoall", CollOp::alltoall, round_alltoall, {16, 4096}},
 };
 
 struct Measurement {
@@ -87,6 +92,7 @@ struct Measurement {
 
 struct Cell {
     char const* pattern = "";
+    std::vector<int> const* counts = nullptr; ///< the pattern's payload grid
     CollOp op = CollOp::count_;
     int p = 0;
     int count = 0;
@@ -176,16 +182,18 @@ std::size_t bucket_bound(std::size_t bytes, std::vector<int> const& counts, std:
     return bound;
 }
 
-int verify_table(char const* path, std::vector<int> const& ps, std::vector<int> const& counts) {
+int verify_table(char const* path, std::vector<int> const& ps) {
     tuning::coll().node_size = kNodeSize;
     if (!tuning::load_tuning_table(path)) {
         std::fprintf(stderr, "FAIL: could not load tuning table %s\n", path);
         return 1;
     }
     int failures = 0;
+    std::size_t verified = 0;
     for (auto const& pattern: kPatterns) {
         for (int p: ps) {
-            for (int count: counts) {
+            for (int count: pattern.counts) {
+                ++verified;
                 std::size_t const bytes = static_cast<std::size_t>(count) * sizeof(int);
                 auto const ctx = ctx_of(p, bytes);
                 auto const selection = tuning::select(pattern.op, ctx);
@@ -210,8 +218,7 @@ int verify_table(char const* path, std::vector<int> const& ps, std::vector<int> 
         }
     }
     if (failures == 0) {
-        std::printf("tuning table %s drives selection for all %zu cells\n", path,
-                    std::size(kPatterns) * ps.size() * counts.size());
+        std::printf("tuning table %s drives selection for all %zu cells\n", path, verified);
     }
     return failures == 0 ? 0 : 1;
 }
@@ -226,10 +233,11 @@ int main(int argc, char** argv) {
             verify_path = argv[i] + 15;
         }
     }
-    std::vector<int> const ps = {4, 16};
-    std::vector<int> const counts = {16, 4096}; // 64 B and 16 KiB blocks
+    // p = 3 is the non-power-of-two size where recursive doubling's fold
+    // and the ring differ most.
+    std::vector<int> const ps = {3, 4, 16};
     if (verify_path != nullptr) {
-        return verify_table(verify_path, ps, counts);
+        return verify_table(verify_path, ps);
     }
     int const warmup = quick ? 2 : 5;
     int const iters = quick ? 10 : 40;
@@ -241,9 +249,10 @@ int main(int argc, char** argv) {
     std::vector<Cell> cells;
     for (auto const& pattern: kPatterns) {
         for (int p: ps) {
-            for (int count: counts) {
+            for (int count: pattern.counts) {
                 Cell cell;
                 cell.pattern = pattern.name;
+                cell.counts = &pattern.counts;
                 cell.op = pattern.op;
                 cell.p = p;
                 cell.count = count;
@@ -271,7 +280,7 @@ int main(int argc, char** argv) {
     int gate2_attempts = 1;
     auto const hier_cell = [&]() -> Cell* {
         for (auto& cell: cells) {
-            if (cell.op == CollOp::allreduce && cell.p == 16 && cell.count == counts.front()) {
+            if (cell.op == CollOp::allreduce && cell.p == 16 && cell.count == kSmallCount) {
                 return &cell;
             }
         }
@@ -299,7 +308,7 @@ int main(int argc, char** argv) {
         for (auto& m: allreduce16->measured) {
             if (m.algorithm == "hier_recursive_doubling" || m.algorithm == "recursive_doubling") {
                 auto const remeasured = measure_candidate(
-                    *allreduce_pattern, 16, counts.front(), m.algorithm.c_str(), warmup, iters);
+                    *allreduce_pattern, 16, kSmallCount, m.algorithm.c_str(), warmup, iters);
                 m.cpu_usec = std::min(m.cpu_usec, remeasured.cpu_usec);
             }
         }
@@ -309,6 +318,7 @@ int main(int argc, char** argv) {
     // Emit the measured table: winner per (op, p, size bucket).
     auto table_cells = bench::Json::array();
     for (auto const& cell: cells) {
+        auto const& counts = *cell.counts;
         std::size_t const index = static_cast<std::size_t>(
             std::find(counts.begin(), counts.end(), cell.count) - counts.begin());
         table_cells.push(bench::Json::object()
@@ -376,7 +386,7 @@ int main(int argc, char** argv) {
                 "recursive doubling (%.1f us) at p=16, node_size=%d, %zu-byte payload, "
                 "%d attempts\n",
                 hier_cpu, kHierCpuSlack, flat_cpu, kNodeSize,
-                static_cast<std::size_t>(counts.front()) * sizeof(int), gate2_attempts);
+                static_cast<std::size_t>(kSmallCount) * sizeof(int), gate2_attempts);
             ok = false;
         }
     }

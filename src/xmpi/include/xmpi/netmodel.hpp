@@ -80,6 +80,16 @@ inline constexpr std::size_t hier_allreduce_max_bytes = 4096;
 /// bcast) is preferred over the flat algorithms when a node grouping is
 /// active; beyond it the full-buffer intra-node bcast dominates.
 inline constexpr std::size_t hier_allgather_max_bytes = 32 * 1024;
+/// Smallest allreduce payload (the whole vector) for which the ring
+/// reduce-scatter + allgather is preferred over recursive doubling at
+/// p = 3 and 4: the ring moves 2(p-1)/p of the buffer per rank in 2(p-1)
+/// steps, doubling the full buffer in ceil(log2 p) rounds (plus a
+/// two-buffer fold at a non-power-of-two p). Beyond p = 4 the bound grows
+/// as p / 4, keeping the ring's per-step block at this size / 4 (at p = 16
+/// the ring ties doubling at 4 KiB blocks and loses at 1 KiB). The same
+/// whole-vector size decides between the ring reduce-scatter and
+/// reduce_then_scatter.
+inline constexpr std::size_t ring_allreduce_min_bytes = 16 * 1024;
 } // namespace tuning
 
 } // namespace xmpi

@@ -5,6 +5,7 @@
 #include "coll.hpp"
 #include "coll_registry.hpp"
 #include "transport.hpp"
+#include "xmpi/netmodel.hpp"
 
 namespace xmpi::detail {
 namespace {
@@ -15,6 +16,24 @@ void copy_bytes(void* dst, void const* src, std::size_t bytes) {
     if (bytes != 0) {
         std::memcpy(dst, src, bytes);
     }
+}
+
+/// @brief Copies @c count elements of @c type from @c src to @c dst (which
+/// may overlap). A type with gaps goes through @c staging, packed, so the
+/// gaps of @c dst stay untouched.
+void copy_elements(
+    void* dst, void const* src, std::size_t count, Datatype const& type,
+    std::vector<std::byte>& staging) {
+    if (dst == src || count == 0) {
+        return;
+    }
+    if (type.is_contiguous()) {
+        std::memmove(dst, src, count * type.size());
+        return;
+    }
+    staging.resize(type.packed_size(count));
+    type.pack(src, count, staging.data());
+    type.unpack(staging.data(), count, dst);
 }
 
 /// @brief Scratch buffer holding `count` elements in user layout (extent-
@@ -214,6 +233,121 @@ int run_allreduce_recursive_doubling(CollCtx& ctx) {
     return XMPI_SUCCESS;
 }
 
+/// @brief The ring algorithms' split of a @c count-element vector into p
+/// near-equal blocks: the first count % p blocks carry one element more, and
+/// blocks are empty when count < p.
+struct RingBlocks {
+    RingBlocks(std::size_t count, int p)
+        : base(count / static_cast<std::size_t>(p)),
+          extra(count % static_cast<std::size_t>(p)) {}
+
+    [[nodiscard]] std::size_t count(int block) const {
+        return base + (static_cast<std::size_t>(block) < extra ? 1 : 0);
+    }
+    /// @brief Element offset of @c block.
+    [[nodiscard]] std::ptrdiff_t first(int block) const {
+        auto const b = static_cast<std::size_t>(block);
+        return static_cast<std::ptrdiff_t>(b * base + std::min(b, extra));
+    }
+    [[nodiscard]] std::size_t largest() const { return base + (extra != 0 ? 1 : 0); }
+
+    std::size_t base;
+    std::size_t extra;
+};
+
+/// @brief One ring step on ctx.channel: block @c send_block of @c vec to
+/// r+1, then block @c recv_block from r-1 into @c dst. An empty block is
+/// neither sent nor received (both ends know the split).
+int ring_step(
+    CollCtx const& ctx, RingBlocks const& blocks, std::byte const* vec, int send_block,
+    int recv_block, void* dst) {
+    Comm& comm = *ctx.comm;
+    Datatype const& type = *ctx.sendtype;
+    int const p = comm.size();
+    int const r = comm.rank();
+    if (std::size_t const n = blocks.count(send_block); n != 0) {
+        if (int const err = channel_send(
+                comm, ctx.channel, (r + 1) % p, vec + blocks.first(send_block) * type.extent(),
+                n, type);
+            err != XMPI_SUCCESS) {
+            return err;
+        }
+    }
+    if (std::size_t const n = blocks.count(recv_block); n != 0) {
+        return channel_recv(comm, ctx.channel, (r - 1 + p) % p, dst, n, type);
+    }
+    return XMPI_SUCCESS;
+}
+
+/// @brief Ring reduce-scatter phase: @c acc holds this rank's whole
+/// contribution (user layout) and is the accumulator. In p-1 steps each rank
+/// passes the block it folded last to r+1 and folds the next one from r-1
+/// into @c acc, so rank r ends holding block r reduced over every rank
+/// exactly once; the other blocks of @c acc are left partially reduced.
+/// @c incoming must hold blocks.largest() elements.
+int ring_reduce_scatter(
+    CollCtx const& ctx, RingBlocks const& blocks, std::byte* acc, std::byte* incoming) {
+    Datatype const& type = *ctx.sendtype;
+    int const p = ctx.comm->size();
+    int const r = ctx.comm->rank();
+    for (int step = 0; step + 1 < p; ++step) {
+        int const send_block = (r - step - 1 + p) % p;
+        int const recv_block = (r - step - 2 + p) % p;
+        if (int const err = ring_step(ctx, blocks, acc, send_block, recv_block, incoming);
+            err != XMPI_SUCCESS) {
+            return err;
+        }
+        ctx.op->apply(
+            incoming, acc + blocks.first(recv_block) * type.extent(), blocks.count(recv_block),
+            type);
+    }
+    return XMPI_SUCCESS;
+}
+
+/// @brief Ring allgather phase: rank r holds block r of @c vec; p-1 steps
+/// pass every block around the ring, each received straight into place.
+int ring_allgather(CollCtx const& ctx, RingBlocks const& blocks, std::byte* vec) {
+    std::ptrdiff_t const extent = ctx.sendtype->extent();
+    int const p = ctx.comm->size();
+    int const r = ctx.comm->rank();
+    for (int step = 0; step + 1 < p; ++step) {
+        int const send_block = (r - step + p) % p;
+        int const recv_block = (r - step - 1 + p) % p;
+        if (int const err = ring_step(
+                ctx, blocks, vec, send_block, recv_block, vec + blocks.first(recv_block) * extent);
+            err != XMPI_SUCCESS) {
+            return err;
+        }
+    }
+    return XMPI_SUCCESS;
+}
+
+/// @brief Bandwidth-optimal allreduce for commutative operations (Thakur,
+/// Rabenseifner & Gropp): a ring reduce-scatter into recvbuf, then a ring
+/// allgather of the reduced blocks. Each rank moves 2(p-1)/p of the buffer
+/// in 2(p-1) steps, against recursive doubling's full buffer per round plus
+/// the two-buffer fold at a non-power-of-two p.
+///
+/// Every block is reduced exactly once, by the rank that owns it, and then
+/// copied: every rank observes a bit-identical result.
+int run_allreduce_ring(CollCtx& ctx) {
+    std::size_t const count = ctx.sendcount;
+    Datatype const& type = *ctx.sendtype;
+    ReduceScratch local;
+    ReduceScratch& scratch = ctx.scratch != nullptr ? *ctx.scratch : local;
+    std::size_t const extent = static_cast<std::size_t>(type.extent());
+    auto* const acc = static_cast<std::byte*>(ctx.recvbuf);
+    copy_elements(acc, ctx.sendbuf, count, type, scratch.accumulator);
+    RingBlocks const blocks(count, ctx.comm->size());
+    // No-op after the first round on a hoisted (persistent) scratch.
+    scratch.incoming.resize(blocks.largest() * extent);
+    if (int const err = ring_reduce_scatter(ctx, blocks, acc, scratch.incoming.data());
+        err != XMPI_SUCCESS) {
+        return err;
+    }
+    return ring_allgather(ctx, blocks, acc);
+}
+
 /// @brief Non-commutative allreduce: fold in rank order at rank 0, then
 /// broadcast, so every rank observes the bit-identical rank-ordered result.
 /// Both phases run on the allreduce's own channel.
@@ -309,6 +443,38 @@ int run_reduce_scatter_reduce_then_scatter(CollCtx& ctx) {
     return run_collective(tuning::CollOp::scatter, scatter_ctx);
 }
 
+/// @brief Ring reduce-scatter for commutative operations: the allreduce
+/// ring's first phase over the p * recvcount input, so rank r ends with
+/// block r — no root gathers the whole vector.
+int run_reduce_scatter_ring(CollCtx& ctx) {
+    int const p = ctx.comm->size();
+    int const r = ctx.comm->rank();
+    std::size_t const recvcount = ctx.recvcount;
+    std::size_t const extent = static_cast<std::size_t>(ctx.sendtype->extent());
+    std::size_t const bytes = recvcount * static_cast<std::size_t>(p) * extent;
+    ReduceScratch local;
+    ReduceScratch& scratch = ctx.scratch != nullptr ? *ctx.scratch : local;
+    // In place the input sits in recvbuf, which then serves as accumulator.
+    bool const in_place = ctx.sendbuf == ctx.recvbuf;
+    std::byte* acc = static_cast<std::byte*>(ctx.recvbuf);
+    if (!in_place) {
+        scratch.accumulator.resize(bytes);
+        acc = scratch.accumulator.data();
+        copy_bytes(acc, ctx.sendbuf, bytes);
+    }
+    RingBlocks const blocks(recvcount * static_cast<std::size_t>(p), p);
+    scratch.incoming.resize(recvcount * extent);
+    if (int const err = ring_reduce_scatter(ctx, blocks, acc, scratch.incoming.data());
+        err != XMPI_SUCCESS) {
+        return err;
+    }
+    // Block r becomes the result (in place: over the first input block).
+    copy_elements(
+        ctx.recvbuf, acc + blocks.first(r) * extent, recvcount, *ctx.sendtype,
+        scratch.incoming);
+    return XMPI_SUCCESS;
+}
+
 [[nodiscard]] int log2_rounds(int p) {
     int rounds = 0;
     for (int k = 1; k < p; k <<= 1) {
@@ -342,6 +508,41 @@ int run_reduce_scatter_reduce_then_scatter(CollCtx& ctx) {
     return 2 * log2_rounds(sctx.p) * msg_cost(sctx, sctx.block_bytes);
 }
 
+/// @brief The ring's crossover: from p = 3 on (p = 2 is one exchange either
+/// way), a vector of ring_allreduce_min_bytes; beyond p = 4 each of the
+/// ring's blocks must stay as large as at p = 4, so the bound grows with p.
+[[nodiscard]] bool ring_allreduce_preferred(tuning::SelectCtx const& sctx) {
+    std::size_t const per_block = tuning::ring_allreduce_min_bytes / 4;
+    return sctx.p >= 3
+           && sctx.block_bytes >= per_block * static_cast<std::size_t>(std::max(sctx.p, 4));
+}
+
+/// @brief reduce_scatter's block_bytes is one rank's block: the ring pays
+/// off at the same whole-vector size as the allreduce ring.
+[[nodiscard]] bool ring_reduce_scatter_preferred(tuning::SelectCtx const& sctx) {
+    tuning::SelectCtx whole = sctx;
+    whole.block_bytes *= static_cast<std::size_t>(sctx.p);
+    return ring_allreduce_preferred(whole);
+}
+
+[[nodiscard]] double cost_allreduce_ring(tuning::SelectCtx const& sctx) {
+    std::size_t const p = static_cast<std::size_t>(sctx.p);
+    return 2 * (sctx.p - 1) * msg_cost(sctx, (sctx.block_bytes + p - 1) / p);
+}
+
+[[nodiscard]] double cost_reduce_scatter_ring(tuning::SelectCtx const& sctx) {
+    // The allreduce ring's first phase only: p-1 steps of one block each.
+    return (sctx.p - 1) * msg_cost(sctx, sctx.block_bytes);
+}
+
+[[nodiscard]] double cost_reduce_scatter_reduce_then_scatter(tuning::SelectCtx const& sctx) {
+    // A binomial reduce of the whole vector, then a scatter tree whose rounds
+    // halve the forwarded share: log2(p) more latencies and ~n more bytes.
+    std::size_t const whole = sctx.block_bytes * static_cast<std::size_t>(sctx.p);
+    return log2_rounds(sctx.p) * (msg_cost(sctx, whole) + sctx.alpha)
+           + static_cast<double>(whole) * sctx.beta;
+}
+
 } // namespace
 
 void register_reduce_algos(std::vector<CollAlgo>& registry) {
@@ -352,6 +553,9 @@ void register_reduce_algos(std::vector<CollAlgo>& registry) {
         {tuning::CollOp::reduce, "linear", nullptr, nullptr, cost_reduce_linear,
          run_reduce_linear});
     registry.push_back(
+        {tuning::CollOp::allreduce, "ring", commutative_only, ring_allreduce_preferred,
+         cost_allreduce_ring, run_allreduce_ring});
+    registry.push_back(
         {tuning::CollOp::allreduce, "recursive_doubling", commutative_only, nullptr,
          cost_allreduce_rd, run_allreduce_recursive_doubling});
     registry.push_back(
@@ -361,8 +565,11 @@ void register_reduce_algos(std::vector<CollAlgo>& registry) {
         {tuning::CollOp::scan, "hillis_steele", nullptr, nullptr, nullptr,
          run_scan_hillis_steele});
     registry.push_back(
-        {tuning::CollOp::reduce_scatter, "reduce_then_scatter", nullptr, nullptr, nullptr,
-         run_reduce_scatter_reduce_then_scatter});
+        {tuning::CollOp::reduce_scatter, "ring", commutative_only, ring_reduce_scatter_preferred,
+         cost_reduce_scatter_ring, run_reduce_scatter_ring});
+    registry.push_back(
+        {tuning::CollOp::reduce_scatter, "reduce_then_scatter", nullptr, nullptr,
+         cost_reduce_scatter_reduce_then_scatter, run_reduce_scatter_reduce_then_scatter});
 }
 
 } // namespace xmpi::detail

@@ -25,7 +25,7 @@
 ///   - preferred(): the static byte/rank thresholds of netmodel.hpp, used
 ///     when no model, table, or force decides. Each threshold constant is
 ///     referenced from exactly one preferred() so there is a single source
-///     of truth per constant.
+///     of truth per constant (a CI gate checks it).
 ///   - cost(): modeled alpha/beta seconds; when a network model is active
 ///     the applicable entry with the lowest modeled cost wins. Entries
 ///     without a cost model (the hierarchical variants — a uniform

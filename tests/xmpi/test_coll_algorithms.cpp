@@ -12,7 +12,9 @@
 /// public non-blocking forms.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -512,8 +514,186 @@ TEST_P(EveryAlgorithm, MatchesTheSequentialReferenceOnItsChannel) {
     EXPECT_GE(forced_runs, static_cast<int>(tuning::num_coll_ops));
 }
 
+// ---------------------------------------------------------------------------
+// The ring-shaped reductions (allreduce, reduce_scatter) on payloads where
+// the ring is the default pick: uneven block splits and derived datatypes
+// ---------------------------------------------------------------------------
+
+/// @brief Where a datatype puts its ints: @c extent ints per element, data
+/// at the @c data offsets, gaps everywhere else.
+struct Layout {
+    xmpi::Datatype const* type;
+    int extent;
+    std::vector<int> data;
+};
+
+constexpr int kSendGap = -5555; ///< gap filler of the input
+constexpr int kRecvGap = -6666; ///< gap filler of a separate receive buffer
+
+/// @brief allreduce (over @c n elements) or reduce_scatter (@c n elements
+/// per block) with SUM in @c layout, checked element by element; the k-th
+/// data int of the whole input vector of rank r holds value(r, k). With
+/// @c keeps_gaps, a separate receive buffer's gaps must come back untouched.
+void check_ring_shaped(
+    Call const& call, CollOp op, int n, Layout const& layout, bool keeps_gaps) {
+    int const per = static_cast<int>(layout.data.size());
+    int const elements = op == CollOp::allreduce ? n : n * call.p;
+    std::vector<int> send(static_cast<std::size_t>(elements) * layout.extent, kSendGap);
+    for (int e = 0; e < elements; ++e) {
+        for (int j = 0; j < per; ++j) {
+            send[e * layout.extent + layout.data[j]] = value(call.r, e * per + j);
+        }
+    }
+    std::vector<int> recv = call.in_place
+                                ? send
+                                : std::vector<int>(
+                                      static_cast<std::size_t>(n) * layout.extent, kRecvGap);
+    CollCtx ctx = call.ctx();
+    ctx.sendbuf = call.in_place ? xmpi::IN_PLACE : send.data();
+    ctx.recvbuf = recv.data();
+    ctx.sendcount = static_cast<std::size_t>(n);
+    ctx.recvcount = static_cast<std::size_t>(n);
+    ctx.sendtype = layout.type;
+    ctx.op = XMPI_SUM;
+    run(op, ctx);
+    // reduce_scatter: rank r's result is block r of the reduced vector.
+    int const first = op == CollOp::allreduce ? 0 : call.r * n;
+    for (int e = 0; e < n; ++e) {
+        for (int j = 0; j < per; ++j) {
+            int const k = (first + e) * per + j;
+            ASSERT_EQ(recv[e * layout.extent + layout.data[j]], range_sum(0, call.p, k))
+                << "element " << e << " of " << n;
+        }
+    }
+    if (keeps_gaps && !call.in_place) {
+        auto const gaps = recv.size() - static_cast<std::size_t>(n * per);
+        EXPECT_EQ(static_cast<std::size_t>(std::count(recv.begin(), recv.end(), kRecvGap)), gaps)
+            << "a gap of the receive buffer was overwritten";
+    }
+}
+
+/// @brief Forces every candidate of @c op, then none (the default pick),
+/// and runs check_ring_shaped blocking and in place. The default pick must
+/// be the one tuning::select names for the payload. The rings and
+/// reduce_then_scatter write only the datatype's elements; the other
+/// entries still copy whole extents.
+void check_every_ring_shaped(CollOp op, int p, int n, Layout const& layout) {
+    tuning::SelectCtx sctx;
+    sctx.p = p;
+    sctx.block_bytes = layout.type->packed_size(static_cast<std::size_t>(n));
+    std::vector<char const*> algorithms = tuning::candidates(op, sctx);
+    algorithms.push_back(nullptr);
+    char const* const expected_default = tuning::select(op, sctx).algorithm;
+    for (char const* algorithm: algorithms) {
+        SCOPED_TRACE(
+            std::string(tuning::coll_op_name(op)) + "/"
+            + (algorithm != nullptr ? algorithm : "default"));
+        std::string const picked = algorithm != nullptr ? algorithm : expected_default;
+        bool const keeps_gaps = picked == "ring" || picked == "reduce_then_scatter";
+        tuning::coll().force_algorithm = algorithm;
+        World::run_ranked(p, [&](int r) {
+            auto const blocking = xmpi::detail::blocking_channel(*XMPI_COMM_WORLD, op);
+            (void)xmpi::profile::take_algorithm();
+            for (bool const in_place: {false, true}) {
+                check_ring_shaped(
+                    Call{*XMPI_COMM_WORLD, r, p, in_place, blocking}, op, n, layout, keeps_gaps);
+                EXPECT_STREQ(
+                    xmpi::profile::take_algorithm(),
+                    algorithm != nullptr ? algorithm : expected_default);
+            }
+        });
+    }
+    tuning::coll().force_algorithm = nullptr;
+}
+
+/// Counts prime to every tested p, so the allreduce ring splits unevenly;
+/// the contiguous ones also pass the ring's default bound
+/// (tuning::ring_allreduce_min_bytes, scaled for p > 4) at every p >= 3.
+constexpr int kLargeCount = 10007;      ///< allreduce elements (ints)
+constexpr int kLargeBlock = 3001;       ///< reduce_scatter elements per block (ints)
+constexpr int kDerivedCount = 3001;     ///< allreduce elements (derived type)
+constexpr int kDerivedBlock = 1001;     ///< reduce_scatter elements per block (derived type)
+
+TEST_P(EveryAlgorithm, LargeUnevenReductionsMatchTheReference) {
+    int const p = GetParam();
+    Layout const contiguous{ints(), 1, {0}};
+    if (p >= 3) {
+        tuning::SelectCtx sctx;
+        sctx.p = p;
+        sctx.block_bytes = kLargeCount * sizeof(int);
+        EXPECT_STREQ(tuning::select(CollOp::allreduce, sctx).algorithm, "ring");
+        sctx.block_bytes = kLargeBlock * sizeof(int);
+        EXPECT_STREQ(tuning::select(CollOp::reduce_scatter, sctx).algorithm, "ring");
+    }
+    check_every_ring_shaped(CollOp::allreduce, p, kLargeCount, contiguous);
+    check_every_ring_shaped(CollOp::reduce_scatter, p, kLargeBlock, contiguous);
+}
+
+TEST_P(EveryAlgorithm, DerivedDatatypeReductionsMatchTheReference) {
+    // Two ints with a gap between them, resized to a four-int extent: a gap
+    // inside every element and one after it.
+    XMPI_Datatype vector = XMPI_DATATYPE_NULL;
+    XMPI_Datatype resized = XMPI_DATATYPE_NULL;
+    ASSERT_EQ(XMPI_Type_vector(2, 1, 2, XMPI_INT, &vector), XMPI_SUCCESS);
+    ASSERT_EQ(
+        XMPI_Type_create_resized(vector, 0, 4 * static_cast<XMPI_Aint>(sizeof(int)), &resized),
+        XMPI_SUCCESS);
+    ASSERT_EQ(XMPI_Type_commit(&resized), XMPI_SUCCESS);
+    Layout const gapped{resized, 4, {0, 2}};
+    int const p = GetParam();
+    check_every_ring_shaped(CollOp::allreduce, p, kDerivedCount, gapped);
+    check_every_ring_shaped(CollOp::reduce_scatter, p, kDerivedBlock, gapped);
+    XMPI_Type_free(&resized);
+    XMPI_Type_free(&vector);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     WorldSizes, EveryAlgorithm, ::testing::Values(1, 2, 3, 4, 5, 8),
+    [](auto const& info) { return "p" + std::to_string(info.param); });
+
+class RingAllreduce : public ::testing::TestWithParam<int> {
+protected:
+    void TearDown() override {
+        tuning::coll().force_algorithm = nullptr;
+        xmpi::profile::set_tracing_enabled(false);
+    }
+};
+
+TEST_P(RingAllreduce, FloatSumIsBytewiseIdenticalOnEveryRank) {
+    // Float addition is not associative, so a rank that folded its own copy
+    // of a block in another order would see different bits. The ring folds
+    // each block once, on its owner, and copies it.
+    int const p = GetParam();
+    constexpr int kFloats = 4099;
+    tuning::coll().force_algorithm = "ring";
+    xmpi::profile::set_tracing_enabled(true);
+    std::vector<std::vector<float>> results(p);
+    World::run_ranked(p, [&](int r) {
+        std::vector<float> send(kFloats);
+        for (int i = 0; i < kFloats; ++i) {
+            // Magnitudes spread over six decades: the sum depends on the order.
+            send[i] = static_cast<float>((r * 7919 + i * 104729) % 1000003) * 1e-3f
+                      * (i % 3 == 0 ? 1e3f : 1.0f);
+        }
+        std::vector<float> recv(kFloats, 0.0f);
+        (void)xmpi::profile::take_algorithm();
+        ASSERT_EQ(
+            XMPI_Allreduce(
+                send.data(), recv.data(), kFloats, XMPI_FLOAT, XMPI_SUM, XMPI_COMM_WORLD),
+            XMPI_SUCCESS);
+        EXPECT_STREQ(xmpi::profile::take_algorithm(), "ring");
+        results[r] = std::move(recv);
+    });
+    for (int r = 1; r < p; ++r) {
+        ASSERT_EQ(results[r].size(), results[0].size());
+        EXPECT_EQ(
+            std::memcmp(results[r].data(), results[0].data(), kFloats * sizeof(float)), 0)
+            << "rank " << r << " differs from rank 0";
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    WorldSizes, RingAllreduce, ::testing::Values(3, 5, 8),
     [](auto const& info) { return "p" + std::to_string(info.param); });
 
 } // namespace

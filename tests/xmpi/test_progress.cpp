@@ -6,9 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <atomic>
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "xmpi/xmpi.hpp"
@@ -317,11 +319,21 @@ TEST_F(ProgressTest, ChaosKillLeavesQueuedTasksFailedNotRun) {
     static std::array<int, kRanks> second_send{};
     static std::array<int, kRanks> second_recv{};
 
+    // Every rank finishes set-up before any rank initiates: otherwise rank 2
+    // can race through both dups and die while a peer still waits inside the
+    // second one, whose receive then (rightly) reports the failure — the
+    // peer leaves the test early and the third rank waits on it forever.
+    std::atomic<int> set_up{0};
+
     World::run_ranked(kRanks, [&](int rank) {
         XMPI_Comm first_comm = XMPI_COMM_NULL;
         XMPI_Comm second_comm = XMPI_COMM_NULL;
         ASSERT_EQ(XMPI_Comm_dup(XMPI_COMM_WORLD, &first_comm), XMPI_SUCCESS);
         ASSERT_EQ(XMPI_Comm_dup(XMPI_COMM_WORLD, &second_comm), XMPI_SUCCESS);
+        set_up.fetch_add(1);
+        while (set_up.load() < kRanks) {
+            std::this_thread::yield();
+        }
 
         first_send[rank] = rank + 1;
         second_send[rank] = (rank + 1) * 10;

@@ -1,14 +1,19 @@
 /// @file test_tuning_select.cpp
 /// @brief The collective-algorithm registry: the four selection layers
 /// (force, tuning table, alpha/beta model, static preference), hierarchical
-/// gating on the node grouping, env-knob parsing, and recovery when a
-/// hierarchy leader dies mid-collective.
+/// gating on the node grouping, the ring entries' preference, env-knob
+/// parsing, and recovery when a hierarchy leader dies mid-collective or a
+/// rank dies mid ring allreduce.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <functional>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "kamping/plugin/plugins.hpp"
 #include "xmpi/xmpi.hpp"
 
 namespace {
@@ -128,6 +133,17 @@ TEST_F(TuningSelect, ModelArgminOverridesTheStaticThresholds) {
     small.beta = 1e-9;
     EXPECT_EQ(pick(CollOp::alltoall, small), "bruck");
     EXPECT_EQ(pick(CollOp::allgather, small), "recursive_doubling");
+
+    // The rings trade 2(p-1) latencies for moving 2(p-1)/p of the vector:
+    // doubling wins latency-bound cells, the ring bandwidth-bound ones.
+    EXPECT_EQ(pick(CollOp::allreduce, small), "recursive_doubling");
+    auto large = ctx_of(8, 1 << 20);
+    large.model_enabled = true;
+    large.alpha = 1e-6;
+    large.beta = 1e-9;
+    EXPECT_EQ(pick(CollOp::allreduce, large), "ring");
+    EXPECT_EQ(pick(CollOp::reduce_scatter, small), "reduce_then_scatter");
+    EXPECT_EQ(pick(CollOp::reduce_scatter, large), "ring");
 }
 
 // ---------------------------------------------------------------------------
@@ -314,6 +330,52 @@ TEST_F(TuningSelect, ForceWinsWhenApplicableAndFallsThroughOtherwise) {
 }
 
 // ---------------------------------------------------------------------------
+// The ring entries across all four layers
+// ---------------------------------------------------------------------------
+
+TEST_F(TuningSelect, RingTakesLargeReductionsFromThreeRanksOn) {
+    constexpr std::size_t k64KiB = 64 * 1024;
+    constexpr std::size_t kMin = tuning::ring_allreduce_min_bytes;
+    EXPECT_EQ(pick(CollOp::allreduce, ctx_of(3, k64KiB)), "ring");
+    EXPECT_EQ(pick(CollOp::allreduce, ctx_of(3, kMin)), "ring");
+    EXPECT_EQ(pick(CollOp::allreduce, ctx_of(4, kMin)), "ring");
+    EXPECT_EQ(pick(CollOp::allreduce, ctx_of(2, k64KiB)), "recursive_doubling")
+        << "p = 2 is one exchange either way";
+    EXPECT_EQ(pick(CollOp::allreduce, ctx_of(3, kMin - 1)), "recursive_doubling");
+    EXPECT_EQ(pick(CollOp::allreduce, ctx_of(3, k64KiB, /*commutative=*/false)), "reduce_bcast");
+    // Beyond p = 4 the bound keeps the ring's per-step block at kMin / 4.
+    EXPECT_EQ(pick(CollOp::allreduce, ctx_of(16, kMin)), "recursive_doubling");
+    EXPECT_EQ(pick(CollOp::allreduce, ctx_of(16, 4 * kMin)), "ring");
+
+    // reduce_scatter sizes one rank's block; the ring pays off at the same
+    // whole-vector size.
+    EXPECT_EQ(pick(CollOp::reduce_scatter, ctx_of(3, k64KiB / 3)), "ring");
+    EXPECT_EQ(pick(CollOp::reduce_scatter, ctx_of(3, 64)), "reduce_then_scatter");
+    EXPECT_EQ(pick(CollOp::reduce_scatter, ctx_of(2, k64KiB)), "reduce_then_scatter");
+    EXPECT_EQ(
+        pick(CollOp::reduce_scatter, ctx_of(3, k64KiB, /*commutative=*/false)),
+        "reduce_then_scatter");
+
+    // A table cell and a force still override the ring's preference.
+    auto const path = write_table(
+        "table_ring.json",
+        R"({"version": 1, "cells": [
+             {"op": "allreduce", "p": 3, "max_bytes": 0, "algorithm": "recursive_doubling"}
+           ]})");
+    ASSERT_TRUE(tuning::load_tuning_table(path.c_str()));
+    auto const tabled = tuning::select(CollOp::allreduce, ctx_of(3, k64KiB));
+    EXPECT_STREQ(tabled.algorithm, "recursive_doubling");
+    EXPECT_TRUE(tabled.from_table);
+    tuning::unload_tuning_table();
+    tuning::coll().force_algorithm = "reduce_bcast";
+    EXPECT_EQ(pick(CollOp::allreduce, ctx_of(3, k64KiB)), "reduce_bcast");
+    tuning::coll().force_algorithm = "ring";
+    EXPECT_EQ(pick(CollOp::allreduce, ctx_of(2, 64)), "ring");
+    EXPECT_EQ(pick(CollOp::allreduce, ctx_of(3, 64, /*commutative=*/false)), "reduce_bcast")
+        << "a force never overrides commutative_only";
+}
+
+// ---------------------------------------------------------------------------
 // Hierarchical collectives: functional correctness + tracing names
 // ---------------------------------------------------------------------------
 
@@ -393,6 +455,44 @@ TEST_F(TuningSelect, PersistentPlansCaptureTheAlgorithmAtInit) {
     tuning::coll().force_algorithm = nullptr;
 }
 
+TEST_F(TuningSelect, PersistentRingAllreduceRestartsWithoutPoolMisses) {
+    // 64 KiB at p = 3: the plan captures the ring at init (a later force does
+    // not retarget it), its receive block lives in the plan's hoisted
+    // scratch, and every block send reuses a pooled payload buffer — after
+    // the first round a restart allocates nothing.
+    constexpr int kInts = 64 * 1024 / sizeof(int);
+    xmpi::profile::set_tracing_enabled(true);
+    World::run_ranked(3, [&](int rank) {
+        std::vector<int> in(kInts, rank + 1);
+        std::vector<int> out(kInts, 0);
+        XMPI_Request request = XMPI_REQUEST_NULL;
+        ASSERT_EQ(
+            XMPI_Allreduce_init(
+                in.data(), out.data(), kInts, XMPI_INT, XMPI_SUM, XMPI_COMM_WORLD, &request),
+            XMPI_SUCCESS);
+        XMPI_Barrier(XMPI_COMM_WORLD);
+        if (rank == 0) {
+            tuning::coll().force_algorithm = "recursive_doubling";
+        }
+        XMPI_Barrier(XMPI_COMM_WORLD);
+        (void)xmpi::profile::take_algorithm();
+        ASSERT_EQ(XMPI_Start(&request), XMPI_SUCCESS);
+        ASSERT_EQ(XMPI_Wait(&request, XMPI_STATUS_IGNORE), XMPI_SUCCESS);
+        EXPECT_STREQ(xmpi::profile::take_algorithm(), "ring");
+        auto const misses = xmpi::profile::my_snapshot().pool_misses;
+        for (int round = 0; round < 5; ++round) {
+            std::fill(out.begin(), out.end(), 0);
+            ASSERT_EQ(XMPI_Start(&request), XMPI_SUCCESS);
+            ASSERT_EQ(XMPI_Wait(&request, XMPI_STATUS_IGNORE), XMPI_SUCCESS);
+            EXPECT_EQ(std::count(out.begin(), out.end(), 6), kInts);
+            EXPECT_STREQ(xmpi::profile::take_algorithm(), "ring");
+        }
+        EXPECT_EQ(xmpi::profile::my_snapshot().pool_misses, misses)
+            << "a restart allocated a payload buffer";
+        XMPI_Request_free(&request);
+    });
+}
+
 // ---------------------------------------------------------------------------
 // Fault tolerance: a hierarchy leader dies mid-allreduce
 // ---------------------------------------------------------------------------
@@ -457,6 +557,106 @@ TEST_F(TuningSelect, LeaderDeathMidHierarchicalAllreduceShrinksAndRetries) {
     ASSERT_EQ(fired.size(), 1u);
     EXPECT_EQ(fired[0].victim, kVictim);
     EXPECT_EQ(fired[0].call, chaos::Call::allreduce);
+}
+
+// ---------------------------------------------------------------------------
+// Fault tolerance: a rank dies mid ring allreduce
+// ---------------------------------------------------------------------------
+
+constexpr int kRingRanks = 5;
+constexpr int kRingVictim = 2;
+constexpr int kRingInts = 64 * 1024 / sizeof(int); ///< the ring at p = 5 and at p = 4
+
+TEST_F(TuningSelect, KillMidRingAllreduceFailsEverySurvivorAndShrinkRetries) {
+    // Rank 2 dies entering its second 64 KiB allreduce. Its successor waits
+    // on it directly; the others wait on predecessors that are alive but
+    // bailed out. Every survivor must return PROC_FAILED or REVOKED instead
+    // of hanging, shrink, and complete on the 4-rank survivor communicator
+    // (where the ring stays selected).
+    ASSERT_STREQ(
+        tuning::select(CollOp::allreduce, ctx_of(kRingRanks, kRingInts * sizeof(int))).algorithm,
+        "ring");
+    xmpi::profile::set_tracing_enabled(true);
+    (void)chaos::take_fired_log();
+    chaos::arm_next_world(
+        chaos::FaultPlan(17).kill_at_call(kRingVictim, chaos::Call::allreduce, 2));
+    World::run_ranked(kRingRanks, [&](int) {
+        XMPI_Comm comm = XMPI_COMM_WORLD;
+        bool owned = false;
+        bool saw_error = false;
+        int err = XMPI_ERR_OTHER;
+        std::vector<int> in(kRingInts, 1);
+        std::vector<int> out(kRingInts, 0);
+        double const deadline = xmpi::wtime() + 60.0;
+        while (xmpi::wtime() < deadline) {
+            err = XMPI_Allreduce(in.data(), out.data(), kRingInts, XMPI_INT, XMPI_SUM, comm);
+            if (err == XMPI_SUCCESS) {
+                int size = 0;
+                XMPI_Comm_size(comm, &size);
+                if (size == kRingRanks - 1) {
+                    EXPECT_EQ(std::count(out.begin(), out.end(), size), kRingInts);
+                    EXPECT_STREQ(xmpi::profile::take_algorithm(), "ring");
+                    break;
+                }
+                continue;
+            }
+            EXPECT_TRUE(err == XMPI_ERR_PROC_FAILED || err == XMPI_ERR_REVOKED)
+                << "survivor returned " << err;
+            saw_error = true;
+            revoke_and_shrink(&comm, &owned);
+        }
+        EXPECT_EQ(err, XMPI_SUCCESS) << "survivors must complete after shrink";
+        EXPECT_TRUE(saw_error) << "every survivor must observe the death";
+        if (owned) {
+            XMPI_Comm_free(&comm);
+        }
+    });
+    auto const fired = chaos::take_fired_log();
+    ASSERT_EQ(fired.size(), 1u);
+    EXPECT_EQ(fired[0].victim, kRingVictim);
+    EXPECT_EQ(fired[0].call, chaos::Call::allreduce);
+}
+
+TEST_F(TuningSelect, KillMidRingAllreduceConvergesUnderWithElastic) {
+    // The same kill in an elastic world, recovered by the kamping
+    // with_elastic loop: the body (two chained 64 KiB allreduces, so the
+    // kill lands inside it whichever allreduce a survivor is in) re-runs on
+    // the survivors' epoch and converges.
+    (void)chaos::take_fired_log();
+    chaos::arm_next_world(
+        chaos::FaultPlan(19).kill_at_call(kRingVictim, chaos::Call::allreduce, 2));
+    World world(kRingRanks, {}, kRingRanks);
+    std::vector<std::thread> ranks;
+    for (int rank = 0; rank < kRingRanks; ++rank) {
+        ranks.emplace_back([&, rank] {
+            world.attach_current_thread(rank);
+            try {
+                kamping::FullCommunicator comm;
+                int attempts = 0;
+                auto const result = comm.with_elastic([&](kamping::FullCommunicator& c) {
+                    ++attempts;
+                    std::vector<int> data(kRingInts, 1);
+                    data = c.allreduce(kamping::send_recv_buf(std::move(data)), kamping::op(std::plus<>{}));
+                    return c.allreduce(kamping::send_recv_buf(std::move(data)), kamping::op(std::plus<>{}));
+                });
+                EXPECT_NE(rank, kRingVictim);
+                EXPECT_EQ(comm.size_signed(), kRingRanks - 1);
+                EXPECT_GE(attempts, 2) << "the kill must abort one attempt";
+                int const expected = (kRingRanks - 1) * (kRingRanks - 1);
+                EXPECT_EQ(std::count(result.begin(), result.end(), expected), kRingInts);
+            } catch (xmpi::RankKilled const&) {
+                EXPECT_EQ(rank, kRingVictim);
+            }
+            world.detach_current_thread();
+        });
+    }
+    for (auto& thread: ranks) {
+        thread.join();
+    }
+    EXPECT_TRUE(world.is_failed(kRingVictim));
+    auto const fired = chaos::take_fired_log();
+    ASSERT_EQ(fired.size(), 1u);
+    EXPECT_EQ(fired[0].victim, kRingVictim);
 }
 
 } // namespace
