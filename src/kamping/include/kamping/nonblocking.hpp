@@ -265,10 +265,9 @@ public:
     /// ERR_IN_STATUS convention, surfaced as a kamping exception). Returns
     /// true iff the pool is empty afterwards.
     ///
-    /// A sweep that leaves entries pending also drains the shared progress
-    /// engine by one task (xmpi::progress::poll()): a test_all() polling
-    /// loop therefore makes progress even when every engine worker is busy,
-    /// instead of spinning until some other rank runs the queue dry.
+    /// A sweep that leaves entries pending also resumes the rank's ready
+    /// fibers (xmpi::progress::poll()), so a test_all() polling loop keeps
+    /// the rank's non-blocking collectives moving.
     bool test_all() {
         // Entries whose handle was already consumed (wait()ed or test()ed
         // through the result object directly) are complete by definition.

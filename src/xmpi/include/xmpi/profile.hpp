@@ -103,11 +103,11 @@ inline constexpr std::size_t kCounterCacheLine = 64;
 /// checks).
 ///
 /// The hot transport counters are grouped by writer and each group is
-/// aligned to its own cache line: a rank's counters are bumped per message
-/// by its own thread *and* by progress-engine workers acting for it, so
-/// without the padding the sender-side group (bumped on every publish) and
-/// the consumer-side group (bumped on every drain) would false-share one
-/// line and the ring fast path would ping-pong it between cores.
+/// aligned to its own cache line: the sender-side group is bumped by the
+/// sending rank's thread on every publish, the consumer-side group by the
+/// receiving rank's thread on every drain, so without the padding the two
+/// would false-share one line and the ring fast path would ping-pong it
+/// between cores.
 #define XMPI_PROFILE_COUNTERS(X)                                                            \
     /* Sender-side hot counters (bumped on every send/publish) */                           \
     X(alignas(kCounterCacheLine), messages_sent, "messages injected by this rank")          \
@@ -122,13 +122,13 @@ inline constexpr std::size_t kCounterCacheLine = 64;
     /* Consumer-side hot counters (bumped when this rank drains/claims) */                  \
     X(alignas(kCounterCacheLine), rendezvous_transfers, "descriptors claimed zero-copy")    \
     X(, bytes_zero_copied, "payload bytes moved without staging (both sides)")              \
-    /* Progress-engine counters (see progress.hpp) */                                       \
-    X(alignas(kCounterCacheLine), engine_tasks, "tasks enqueued on the engine")             \
-    X(, engine_inline_fallbacks, "full queue, none of own queued: ran inline")              \
-    X(, engine_queue_depth_max, "deepest queue observed at enqueue")                        \
-    X(, engine_caller_steals, "tasks run by waiting/polling callers")                       \
+    /* Non-blocking fibers (see progress.hpp); the inert ones always read 0 */              \
+    X(alignas(kCounterCacheLine), engine_tasks, "fibers started")                           \
+    X(, engine_inline_fallbacks, "inert: retired worker pool")                              \
+    X(, engine_queue_depth_max, "most fibers the rank held at once")                        \
+    X(, engine_caller_steals, "inert: retired worker pool")                                 \
     X(, engine_incomplete_destructions, "requests freed before completion")                 \
-    X(, engine_stall_escalations, "temporary workers grown by the stall valve")             \
+    X(, engine_stall_escalations, "inert: retired worker pool")                             \
     /* One-sided (RMA) counters (see win.hpp) */                                            \
     X(, rma_puts, "puts initiated (excl. PROC_NULL no-ops)")                                \
     X(, rma_gets, "gets initiated (excl. PROC_NULL no-ops)")                                \
@@ -234,9 +234,9 @@ struct Span {
     std::uint64_t bytes_in = 0; ///< payload bytes entering the op (send side)
     std::uint64_t bytes_out = 0; ///< payload bytes leaving the op (recv side)
     bool count_exchange = false; ///< a count/size exchange was instantiated
-    /// Time the operation sat in the progress-engine queue before a worker
-    /// (or a stealing caller) started it; 0 for operations that never went
-    /// through the engine (blocking collectives, p2p).
+    /// Time the operation waited before it started; always 0 now that a
+    /// non-blocking operation starts as a fiber at initiation. Kept in the
+    /// span format for existing readers.
     double queue_s = 0.0;
     /// Time spent blocked in RMA epoch synchronization (the fence barrier,
     /// or waiting to acquire a passive-target lock); 0 for non-RMA ops.
@@ -291,5 +291,16 @@ char const* take_algorithm();
 void note_epoch_wait(double seconds);
 /// @brief Returns and clears the calling thread's accumulated epoch wait.
 double take_epoch_wait();
+
+/// @brief The calling thread's pending notes (note_algorithm,
+/// note_epoch_wait).
+struct ThreadNotes {
+    char const* algorithm = "";
+    double epoch_wait_s = 0.0;
+};
+/// @brief Replaces the calling thread's notes with @c notes and returns the
+/// previous ones. Fiber switches (progress.cpp) swap them, so a note stays
+/// with the operation that made it.
+ThreadNotes exchange_thread_notes(ThreadNotes notes);
 
 } // namespace xmpi::profile

@@ -159,10 +159,9 @@ protected:
     std::uint64_t restarts_ = 0;
 };
 
-// Non-blocking collectives are backed by the shared progress engine
-// (xmpi/progress.hpp): initiation enqueues a resumable task on a bounded
-// worker pool instead of spawning a thread per request. The request handle
-// type (EngineRequest) is an implementation detail of progress.cpp.
+// Non-blocking collectives run as fibers on their initiating rank
+// (xmpi/progress.hpp). Their request type (FiberRequest) is an
+// implementation detail of progress.cpp.
 
 /// @brief Request for a non-blocking barrier round (see Comm::ibarrier).
 class IbarrierRequest final : public Request {

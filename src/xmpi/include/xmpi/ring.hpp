@@ -2,10 +2,10 @@
 /// @brief Lock-free per-(src,dst) transport rings.
 ///
 /// The transport hot path: every send from world rank `src` to world rank
-/// `dst` is published into the PeerRing of that ordered pair. Producers
-/// (the sending rank's thread, or a progress-engine worker acting for it)
-/// publish entries with a Vyukov-style sequenced-slot protocol — a CAS on
-/// the tail that is uncontended in the common single-producer case — and
+/// `dst` is published into the PeerRing of that ordered pair. The producer
+/// (the sending rank's thread; its non-blocking operations are fibers on
+/// it) publishes entries with a Vyukov-style sequenced-slot protocol — a
+/// CAS on the tail, which no xmpi path contends — and
 /// the *receiver* pulls entries out when it posts, awaits, or probes a
 /// receive. No mutex is ever taken between two ranks on the fast path; the
 /// receiver's mailbox mutex only serializes consumer-side matching.
@@ -222,9 +222,9 @@ inline constexpr std::size_t kBatchRecordAlign = alignof(BatchRecordHeader);
 
 /// @brief Bounded lock-free ring of one ordered (src,dst) pair.
 ///
-/// Producers publish with the sequenced-slot protocol (CAS on tail_,
-/// uncontended unless a progress-engine worker races the rank's own
-/// thread); the consumer pops under its mailbox mutex, so pops are
+/// Producers publish with the sequenced-slot protocol (CAS on tail_; every
+/// xmpi producer of a ring is the source rank's one thread, so it never
+/// contends); the consumer pops under its mailbox mutex, so pops are
 /// single-threaded and need no CAS. Slots additionally carry the coalescing
 /// state of an open batch: `reserve_` packs (epoch | closed | bytes) so a
 /// producer can CAS-reserve append space in a still-published batch, and

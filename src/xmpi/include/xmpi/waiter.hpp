@@ -23,8 +23,16 @@
 /// mutex_ is a leaf lock: it is taken only inside notify() and the block
 /// rung, never while a predicate runs. notify() may thus be called with any
 /// caller lock held, and a predicate may take any lock of its own.
+///
+/// Fibers (progress.hpp): inside a fiber, wait_until never spins or sleeps.
+/// It parks the fiber and returns control to its rank thread, which re-checks
+/// the predicate on its own rungs whenever the epoch moved since the fiber
+/// parked, and switches back only once the predicate holds (or the deadline
+/// passed). A rank thread with parked fibers resumes them on every rung and
+/// bounds its block rung by their earliest deadline.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -36,6 +44,43 @@
 #include "xmpi/tuning.hpp"
 
 namespace xmpi::detail {
+
+class Waiter;
+
+/// @brief Where a fiber parked: the Waiter it waits on, the epoch its
+/// predicate last read false at, its deadline (or nullptr), and a way for
+/// the rank thread to re-check the predicate without switching to the fiber.
+struct FiberPark {
+    Waiter* waiter = nullptr;
+    std::uint64_t seen = 0;
+    std::chrono::steady_clock::time_point const* deadline = nullptr;
+    bool (*probe)(void* pred) = nullptr;
+    void* pred = nullptr;
+};
+
+/// @brief The calling thread's fiber state, read on every rung (progress.cpp
+/// keeps it current): whether it runs inside a fiber, and whether it owns
+/// fibers that are not finished.
+struct FiberSeam {
+    bool in_fiber = false;
+    bool owns_fibers = false;
+};
+extern constinit thread_local FiberSeam t_fiber_seam;
+
+/// @name The fiber scheduler's side of the seam (progress.cpp)
+/// @{
+/// @brief Fiber side: parks the running fiber at @c park. Returns true iff
+/// its rank found the predicate true (the fiber must not evaluate it again).
+bool park_fiber(FiberPark const& park);
+/// @brief Fiber side: false while the running fiber has its own exception
+/// in flight; such a fiber waits in place instead of switching.
+bool fiber_can_park();
+/// @brief Rank side: resumes the calling thread's ready fibers, oldest first.
+bool resume_fibers();
+/// @brief Rank side: the earliest deadline a parked fiber of the calling
+/// thread waits for, or time_point::max().
+std::chrono::steady_clock::time_point fiber_deadline();
+/// @}
 
 /// @brief CPU-relax hint for spin loops.
 inline void spin_pause() {
@@ -94,23 +139,71 @@ private:
         }
     }
 
+    /// @brief Resumes the calling rank's ready fibers; one thread-local load
+    /// when it owns none.
+    static void resume_own_fibers() {
+        if (t_fiber_seam.owns_fibers) [[unlikely]] {
+            (void)resume_fibers();
+        }
+    }
+
     template <typename Predicate>
     bool wait(Predicate& pred, Clock::time_point const* deadline) {
+        if (t_fiber_seam.in_fiber && fiber_can_park()) [[unlikely]] {
+            return park(pred, deadline);
+        }
         // In latency-bound patterns the event lands within microseconds, so
         // spinning skips the sleep/wake round trip. The yield rung hands the
         // core to the thread we wait on when the machine is oversubscribed.
         for (int i = tuning::spin_budget(); i > 0; --i) {
+            resume_own_fibers();
             if (holds(pred, false)) {
                 return true;
             }
             spin_pause();
         }
         for (int i = tuning::yield_budget(); i > 0; --i) {
+            resume_own_fibers();
             if (holds(pred, false)) {
                 return true;
             }
             std::this_thread::yield();
         }
+        for (;;) {
+            std::uint64_t const seen = epoch_.load(std::memory_order_seq_cst);
+            resume_own_fibers();
+            if (holds(pred, true)) {
+                return true;
+            }
+            if (deadline != nullptr && Clock::now() >= *deadline) {
+                return false;
+            }
+            // A parked fiber's deadline (the rendezvous fallback) must
+            // resume it even if no event arrives.
+            Clock::time_point wake = deadline != nullptr ? *deadline : Clock::time_point::max();
+            if (t_fiber_seam.owns_fibers) {
+                wake = std::min(wake, fiber_deadline());
+            }
+            std::unique_lock lock(mutex_);
+            sleepers_.fetch_add(1, std::memory_order_seq_cst);
+            if (epoch_.load(std::memory_order_seq_cst) == seen) {
+                if (wake == Clock::time_point::max()) {
+                    cv_.wait(lock);
+                } else {
+                    cv_.wait_until(lock, wake);
+                }
+            }
+            sleepers_.fetch_sub(1, std::memory_order_relaxed);
+        }
+    }
+
+    /// @brief wait() inside a fiber: evaluate, and park until the rank saw
+    /// the predicate hold or the deadline passed.
+    template <typename Predicate>
+    bool park(Predicate& pred, Clock::time_point const* deadline) {
+        auto const probe = [](void* erased) {
+            return holds(*static_cast<Predicate*>(erased), true);
+        };
         for (;;) {
             std::uint64_t const seen = epoch_.load(std::memory_order_seq_cst);
             if (holds(pred, true)) {
@@ -119,16 +212,9 @@ private:
             if (deadline != nullptr && Clock::now() >= *deadline) {
                 return false;
             }
-            std::unique_lock lock(mutex_);
-            sleepers_.fetch_add(1, std::memory_order_seq_cst);
-            if (epoch_.load(std::memory_order_seq_cst) == seen) {
-                if (deadline == nullptr) {
-                    cv_.wait(lock);
-                } else {
-                    cv_.wait_until(lock, *deadline);
-                }
+            if (park_fiber(FiberPark{this, seen, deadline, probe, &pred})) {
+                return true;
             }
-            sleepers_.fetch_sub(1, std::memory_order_relaxed);
         }
     }
 

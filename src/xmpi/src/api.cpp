@@ -73,8 +73,8 @@ bool is_pollable(XMPI_Request request) {
 
 /// Runs @c sweep until it returns true, blocking on the calling rank's
 /// Waiter: every event that can complete one of its requests (delivery,
-/// match, engine completion, round completion, failure) notifies it.
-/// progress::poll() keeps the rank's own engine tasks moving while it waits.
+/// match, fiber completion, round completion, failure) notifies it, and
+/// every rung resumes the rank's ready fibers.
 template <typename Sweep>
 void wait_ladder(Sweep&& sweep) {
     auto const& context = xmpi::detail::current_context();
@@ -86,9 +86,7 @@ void wait_ladder(Sweep&& sweep) {
         }
         return;
     }
-    context.world->waiter(context.world_rank).wait_until([&] {
-        return sweep() || (xmpi::progress::poll() && sweep());
-    });
+    context.world->waiter(context.world_rank).wait_until(sweep);
 }
 
 /// A count argument as the CollCtx field it fills.
@@ -97,14 +95,12 @@ std::size_t ucount(int count) {
 }
 
 /// Starts one non-blocking registry collective: the collective runs as a
-/// task on the shared progress engine, on a dedicated matching channel (nbc
-/// context + per-initiation sequence tag) and under the initiating rank's
-/// context, so matching and profiling attribute correctly no matter which
-/// thread executes it.
+/// fiber of the initiating rank, on a dedicated matching channel (nbc
+/// context + per-initiation sequence tag).
 xmpi::Request* start_nonblocking(char const* name, CollOp op, CollCtx ctx) {
     ctx.channel = {ctx.comm->nbc_context(), ctx.comm->next_nbc_sequence()};
     return xmpi::progress::detail::submit(
-        name, ctx.comm, [op, ctx]() mutable { return xmpi::detail::run_collective(op, ctx); });
+        name, [op, ctx]() mutable { return xmpi::detail::run_collective(op, ctx); });
 }
 
 } // namespace
@@ -357,6 +353,7 @@ int XMPI_Probe(int source, int tag, XMPI_Comm comm, XMPI_Status* status) {
 
 int XMPI_Iprobe(int source, int tag, XMPI_Comm comm, int* flag, XMPI_Status* status) {
     count_call(xmpi::profile::Call::iprobe);
+    xmpi::progress::poll();
     if (source == XMPI_PROC_NULL) {
         *flag = 1;
         if (status != XMPI_STATUS_IGNORE) {
@@ -402,6 +399,10 @@ int XMPI_Wait(XMPI_Request* request, XMPI_Status* status) {
 }
 
 int XMPI_Test(XMPI_Request* request, int* flag, XMPI_Status* status) {
+    // Weak progress: every polling call resumes the rank's ready fibers, so
+    // a loop testing p2p requests still advances its non-blocking
+    // collectives.
+    xmpi::progress::poll();
     if (*request == XMPI_REQUEST_NULL) {
         *flag = 1;
         if (status != XMPI_STATUS_IGNORE) {
@@ -438,6 +439,7 @@ int XMPI_Waitall(int count, XMPI_Request* requests, XMPI_Status* statuses) {
 }
 
 int XMPI_Testall(int count, XMPI_Request* requests, int* flag, XMPI_Status* statuses) {
+    xmpi::progress::poll();
     // First pass: probe without consuming. peek() (not test()) matters for
     // persistent requests: a completed one must stay consumable if the
     // answer turns out to be "not all done".
@@ -503,6 +505,7 @@ int XMPI_Waitsome(
 }
 
 int XMPI_Testany(int count, XMPI_Request* requests, int* index, int* flag, XMPI_Status* status) {
+    xmpi::progress::poll();
     bool any_active = false;
     for (int i = 0; i < count; ++i) {
         if (!is_pollable(requests[i])) {
@@ -532,6 +535,7 @@ int XMPI_Testany(int count, XMPI_Request* requests, int* index, int* flag, XMPI_
 
 int XMPI_Testsome(
     int incount, XMPI_Request* requests, int* outcount, int* indices, XMPI_Status* statuses) {
+    xmpi::progress::poll();
     *outcount = 0;
     bool any_active = false;
     int first_error = XMPI_SUCCESS;

@@ -240,14 +240,10 @@ int run_allreduce_hier(CollCtx& ctx) {
     std::size_t const count = ctx.sendcount;
     Datatype const& type = *ctx.sendtype;
     Op const& op = *ctx.op;
-    std::size_t const bytes = count * static_cast<std::size_t>(type.extent());
-
-    // Fold in place in recvbuf on every rank (count-0 calls may pass null).
-    if (ctx.sendbuf != ctx.recvbuf && bytes != 0) {
-        std::memcpy(ctx.recvbuf, ctx.sendbuf, bytes);
-    }
     ReduceScratch local;
     ReduceScratch& scratch = ctx.scratch != nullptr ? *ctx.scratch : local;
+    // Fold in place in recvbuf on every rank.
+    copy_elements(ctx.recvbuf, ctx.sendbuf, count, type, scratch.accumulator);
 
     std::vector<int> const members = node_ranks(grp);
     int const my_idx = r - grp.node_begin;

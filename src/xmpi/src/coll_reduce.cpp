@@ -8,19 +8,7 @@
 #include "xmpi/netmodel.hpp"
 
 namespace xmpi::detail {
-namespace {
 
-/// @brief memcpy that skips empty copies: count-0 reductions may pass null
-/// buffers, and memcpy's pointers must not be null even for zero bytes.
-void copy_bytes(void* dst, void const* src, std::size_t bytes) {
-    if (bytes != 0) {
-        std::memcpy(dst, src, bytes);
-    }
-}
-
-/// @brief Copies @c count elements of @c type from @c src to @c dst (which
-/// may overlap). A type with gaps goes through @c staging, packed, so the
-/// gaps of @c dst stay untouched.
 void copy_elements(
     void* dst, void const* src, std::size_t count, Datatype const& type,
     std::vector<std::byte>& staging) {
@@ -34,6 +22,16 @@ void copy_elements(
     staging.resize(type.packed_size(count));
     type.pack(src, count, staging.data());
     type.unpack(staging.data(), count, dst);
+}
+
+namespace {
+
+/// @brief memcpy that skips empty copies: count-0 reductions may pass null
+/// buffers, and memcpy's pointers must not be null even for zero bytes.
+void copy_bytes(void* dst, void const* src, std::size_t bytes) {
+    if (bytes != 0) {
+        std::memcpy(dst, src, bytes);
+    }
 }
 
 /// @brief Scratch buffer holding `count` elements in user layout (extent-
@@ -85,7 +83,7 @@ int run_reduce_linear(CollCtx& ctx) {
         op.apply(accumulator.data(), incoming.data(), count, type);
         std::swap(accumulator.storage, incoming.storage);
     }
-    copy_bytes(ctx.recvbuf, accumulator.data(), count * static_cast<std::size_t>(type.extent()));
+    copy_elements(ctx.recvbuf, accumulator.data(), count, type, incoming.storage);
     return XMPI_SUCCESS;
 }
 
@@ -132,7 +130,7 @@ int run_reduce_binomial(CollCtx& ctx) {
         }
         mask <<= 1;
     }
-    copy_bytes(ctx.recvbuf, accumulator.data(), count * static_cast<std::size_t>(type.extent()));
+    copy_elements(ctx.recvbuf, accumulator.data(), count, type, incoming.storage);
     return XMPI_SUCCESS;
 }
 
@@ -222,14 +220,10 @@ int run_allreduce_recursive_doubling(CollCtx& ctx) {
         if (r % 2 == 0) {
             return channel_recv(comm, channel, r + 1, recvbuf, count, type);
         }
-        if (!in_place) {
-            copy_bytes(recvbuf, acc, bytes);
-        }
+        copy_elements(recvbuf, acc, count, type, scratch.incoming);
         return channel_send(comm, channel, r - 1, recvbuf, count, type);
     }
-    if (!in_place) {
-        copy_bytes(recvbuf, acc, bytes);
-    }
+    copy_elements(recvbuf, acc, count, type, scratch.incoming);
     return XMPI_SUCCESS;
 }
 
@@ -412,10 +406,10 @@ int run_scan_hillis_steele(CollCtx& ctx) {
     if (ctx.exclusive) {
         // Exscan: rank 0's recvbuf is undefined (left untouched).
         if (have_prefix) {
-            copy_bytes(recvbuf, exclusive_prefix.data(), bytes);
+            copy_elements(recvbuf, exclusive_prefix.data(), count, type, incoming.storage);
         }
     } else {
-        copy_bytes(recvbuf, inclusive.data(), bytes);
+        copy_elements(recvbuf, inclusive.data(), count, type, incoming.storage);
     }
     return XMPI_SUCCESS;
 }

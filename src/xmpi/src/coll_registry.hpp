@@ -133,6 +133,12 @@ int run_blocking(tuning::CollOp op, CollCtx ctx);
 void local_copy(
     void const* src, std::size_t scount, Datatype const& stype, void* dst, std::size_t rcount,
     Datatype const& rtype);
+/// @brief Copies @c count elements of @c type from @c src to @c dst (which
+/// may overlap). A type with gaps goes through @c staging, packed, so the
+/// gaps of @c dst stay untouched (coll_reduce.cpp).
+void copy_elements(
+    void* dst, void const* src, std::size_t count, Datatype const& type,
+    std::vector<std::byte>& staging);
 [[nodiscard]] std::byte* displaced(void* base, std::ptrdiff_t elements, Datatype const& type);
 [[nodiscard]] std::byte const*
 displaced(void const* base, std::ptrdiff_t elements, Datatype const& type);

@@ -172,8 +172,8 @@ private:
 
 /// @brief What a persistent collective binds at init: the CollCtx with its
 /// own channel, the algorithm bind_collective() chose, and the storage the
-/// ctx points into. Shared with the engine task of a polled round, so the
-/// round may outlive the request object.
+/// ctx points into. Shared with the fiber of a polled round, so the round
+/// may outlive the request object.
 struct CollPlan {
     CollCtx ctx;
     CollAlgo const* algo = nullptr;
@@ -198,12 +198,12 @@ struct CollPlan {
 /// restart before its previous round completed locally. wait() runs the
 /// round INLINE on the waiting thread — the same wire path as the blocking
 /// one-shot collective, so a start/wait round costs only the Start
-/// bookkeeping on top of the collective itself (no progress-engine queue
-/// and wakeup latency). A test()/peek() poll must not block, so polling
-/// instead submits the round to the shared progress engine once; completion
-/// then follows the usual inner-request path. Mixed usage composes: a rank
-/// waiting inline rendezvouses with a peer whose round runs on an engine
-/// worker, exactly as blocking and non-blocking collectives already do.
+/// bookkeeping on top of the collective itself (no fiber switch). A
+/// test()/peek() poll must not block, so polling instead starts the round
+/// as a fiber once; completion then follows the usual inner-request path.
+/// Mixed usage composes: a rank waiting inline rendezvouses with a peer
+/// whose round runs as a fiber, exactly as blocking and non-blocking
+/// collectives already do.
 class PersistentCollRequest final : public PersistentRequest {
 public:
     PersistentCollRequest(char const* op, std::shared_ptr<CollPlan> plan)
@@ -242,16 +242,15 @@ public:
 protected:
     int do_start() override {
         // Nothing per start: everything was bound at init, and the round
-        // itself runs lazily — inline at wait() or on the progress engine
-        // at the first test()/peek().
+        // itself runs lazily — inline at wait() or as a fiber from the
+        // first test()/peek().
         return XMPI_SUCCESS;
     }
 
 private:
     void ensure_submitted() {
         if (active_ && inner_ == nullptr) {
-            inner_.reset(progress::detail::submit(
-                op_, plan_->ctx.comm, [plan = plan_] { return plan->replay(); }));
+            inner_.reset(progress::detail::submit(op_, [plan = plan_] { return plan->replay(); }));
         }
     }
 
@@ -349,70 +348,58 @@ int PartitionedSendRequest::pready(int partition) {
     if (ready_[static_cast<std::size_t>(partition)].exchange(true, std::memory_order_acq_rel)) {
         return XMPI_ERR_ARG; // partition marked ready twice in one epoch
     }
-    if (ready_count_.fetch_add(1, std::memory_order_acq_rel) + 1 != partitions_) {
-        return XMPI_SUCCESS;
+    if (ready_count_.fetch_add(1, std::memory_order_acq_rel) + 1 == partitions_) {
+        // Last partition: publish readiness only. The owner's test/wait
+        // sends the message, so the send acts as the owning rank even when
+        // this thread is a foreign producer.
+        waiter_of(ctx_).notify();
     }
-    // Last partition: ship the whole buffer as one message, attributed to
-    // the initiating rank even when this thread is a foreign producer.
+    return XMPI_SUCCESS;
+}
+
+bool PartitionedSendRequest::all_ready() const {
+    return ready_count_.load(std::memory_order_acquire) == partitions_;
+}
+
+void PartitionedSendRequest::ship_if_ready() {
+    if (!active_ || inner_ != nullptr || !all_ready()) {
+        return;
+    }
+    // Ship the whole buffer as one message, as a fiber of the owning rank.
     Comm* comm = comm_;
     void const* buf = buf_;
     std::size_t const total = part_count_ * static_cast<std::size_t>(partitions_);
     Datatype const* type = type_;
     int const dest = dest_;
     int const tag = tag_;
-    Request* request = progress::detail::submit_as("psend", comm_, ctx_, [=] {
+    inner_.reset(progress::detail::submit("psend", [=] {
         return transport_send(*comm, dest, tag, comm->pt2pt_context(), buf, total, *type);
-    });
-    {
-        std::lock_guard lock(inner_mutex_);
-        inner_.reset(request);
-    }
-    waiter_of(ctx_).notify();
-    return XMPI_SUCCESS;
+    }));
 }
 
 bool PartitionedSendRequest::test(Status& status) {
-    if (!active_) {
-        status = inactive_status();
-        return true;
-    }
-    std::lock_guard lock(inner_mutex_);
-    if (inner_ == nullptr) {
-        return false; // partitions still outstanding
-    }
-    Status inner_status;
-    if (!inner_->test(inner_status)) {
+    ship_if_ready();
+    if (!PersistentRequest::test(status)) {
         return false;
     }
-    inner_.reset();
     started_.store(false, std::memory_order_release);
-    active_ = false;
-    status = inner_status;
     return true;
 }
 
 bool PartitionedSendRequest::peek() {
-    if (!active_) {
-        return true;
-    }
-    std::lock_guard lock(inner_mutex_);
-    return inner_ != nullptr && inner_->peek();
+    ship_if_ready();
+    return PersistentRequest::peek();
 }
 
 void PartitionedSendRequest::wait(Status& status) {
-    // The inner request appears asynchronously (installed by whichever
-    // thread delivers the last pready, which then notifies the owner).
-    std::unique_lock lock(inner_mutex_);
-    wait_locked(waiter_of(ctx_), lock, [&] { return !active_ || inner_ != nullptr; });
-    if (!active_) {
-        status = inactive_status();
-        return;
+    if (active_) {
+        // Producers may still be marking partitions; the last pready
+        // notifies the owner.
+        waiter_of(ctx_).wait_until([&] { return all_ready(); });
+        ship_if_ready();
     }
-    auto inner = std::move(inner_);
-    lock.unlock();
-    inner->wait(status);
+    PersistentRequest::wait(status);
     started_.store(false, std::memory_order_release);
-    active_ = false;
 }
 
 PartitionedRecvRequest::PartitionedRecvRequest(

@@ -7,7 +7,6 @@
 #include <atomic>
 #include <cstddef>
 #include <memory>
-#include <mutex>
 
 #include "coll_registry.hpp"
 #include "xmpi/comm.hpp"
@@ -38,9 +37,10 @@ Request* make_persistent_alltoall(CollCtx const& ctx);
 
 /// @brief Partitioned send (XMPI_Psend_init): the buffer is @c partitions
 /// equal parts of @c part_count elements each. Producer threads mark
-/// partitions ready via pready(); the LAST pready ships the whole buffer as
-/// one message through the progress engine on behalf of the initiating rank,
-/// so many producer threads compose into a single transport message.
+/// partitions ready via pready(); the LAST pready publishes readiness, and
+/// the owning rank's next test/wait ships the whole buffer as one message
+/// (a fiber of that rank), so many producer threads compose into a single
+/// transport message.
 class PartitionedSendRequest final : public PersistentRequest {
 public:
     PartitionedSendRequest(
@@ -61,6 +61,10 @@ protected:
     int do_start() override;
 
 private:
+    [[nodiscard]] bool all_ready() const;
+    /// @brief Starts the send once every partition is ready (owner only).
+    void ship_if_ready();
+
     Comm* comm_;
     int partitions_;
     std::size_t part_count_;
@@ -68,13 +72,11 @@ private:
     void const* buf_;
     int dest_;
     int tag_;
-    /// Initiating rank; the final pready may come from a producer thread
-    /// with no rank identity, so the send task is attributed explicitly.
+    /// Owning rank; a producer's last pready notifies its Waiter.
     RankContext ctx_;
     std::unique_ptr<std::atomic<bool>[]> ready_;
     std::atomic<int> ready_count_{0};
     std::atomic<bool> started_{false};
-    std::mutex inner_mutex_; ///< guards inner_ (installed by a foreign thread)
 };
 
 /// @brief Partitioned receive (XMPI_Precv_init). Arrival granularity is the

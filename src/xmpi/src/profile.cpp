@@ -157,4 +157,10 @@ double take_epoch_wait() {
     return std::exchange(t_epoch_wait_s, 0.0);
 }
 
+ThreadNotes exchange_thread_notes(ThreadNotes notes) {
+    return ThreadNotes{
+        std::exchange(t_algorithm, notes.algorithm),
+        std::exchange(t_epoch_wait_s, notes.epoch_wait_s)};
+}
+
 } // namespace xmpi::profile

@@ -17,7 +17,6 @@
 #include "coll.hpp"
 #include "transport.hpp"
 #include "xmpi/chaos.hpp"
-#include "xmpi/progress.hpp"
 
 namespace xmpi::detail {
 namespace {
@@ -104,11 +103,8 @@ void* ft_rendezvous(Comm& comm, Contribute&& contribute, Produce&& produce, Cons
 
 int ulfm_revoke(Comm& comm) {
     comm.mark_revoked();
-    // Non-blocking collectives already queued on the progress engine but not
-    // yet started must observe the revocation too: fail them in place so a
-    // later wait/test reports XMPI_ERR_REVOKED instead of running the
-    // collective on a dead communicator.
-    progress::detail::fail_queued_for_comm(&comm, XMPI_ERR_REVOKED);
+    // Parked fibers re-check their predicates on this wake and see the
+    // revocation like any blocked wait does.
     comm.world().wake_all();
     return XMPI_SUCCESS;
 }

@@ -75,10 +75,6 @@ void World::install_chaos(std::unique_ptr<chaos::Engine> engine) {
 }
 
 World::~World() {
-    // Progress-engine tasks hold pointers into this world (comm, mailboxes,
-    // counters, the initiators' buffers): fail whatever is still queued and
-    // wait out anything still executing before tearing the world down.
-    progress::detail::abandon_world(this);
     if (elastic_ != nullptr) {
         // Superseded epoch comms are parked (not released) at each
         // transition, because aborting operations may still be unwinding
@@ -98,9 +94,6 @@ void World::mark_failed(int world_rank) {
     if (failed_flags_[static_cast<std::size_t>(world_rank)].compare_exchange_strong(
             expected, true, std::memory_order_acq_rel)) {
         num_failed_.fetch_add(1, std::memory_order_release);
-        // Engine tasks the dead rank queued but never started must not run:
-        // they would act for a rank whose stack (and buffers) are gone.
-        progress::detail::fail_queued_for_rank(this, world_rank, XMPI_ERR_PROC_FAILED);
         if (elastic_ != nullptr) {
             // A failure is a membership transition request like any other;
             // epoch_sync folds it into the next epoch.
@@ -131,6 +124,9 @@ void World::attach_current_thread(int world_rank) {
 }
 
 void World::detach_current_thread() {
+    // A fiber never outlives its rank thread: unwind the ones still parked
+    // while the thread is still attached, so they unwind as this rank.
+    progress::detail::unwind_fibers();
     auto& context = detail::current_context();
     context.world = nullptr;
     context.world_rank = UNDEFINED;

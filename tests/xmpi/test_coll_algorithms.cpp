@@ -530,14 +530,15 @@ struct Layout {
 constexpr int kSendGap = -5555; ///< gap filler of the input
 constexpr int kRecvGap = -6666; ///< gap filler of a separate receive buffer
 
-/// @brief allreduce (over @c n elements) or reduce_scatter (@c n elements
-/// per block) with SUM in @c layout, checked element by element; the k-th
-/// data int of the whole input vector of rank r holds value(r, k). With
-/// @c keeps_gaps, a separate receive buffer's gaps must come back untouched.
+/// @brief allreduce or (ex)scan (over @c n elements) or reduce_scatter (@c n
+/// elements per block) with SUM in @c layout, checked element by element;
+/// the k-th data int of the whole input vector of rank r holds value(r, k).
+/// A separate receive buffer's gaps must come back untouched. @c exclusive
+/// turns scan into exscan.
 void check_ring_shaped(
-    Call const& call, CollOp op, int n, Layout const& layout, bool keeps_gaps) {
+    Call const& call, CollOp op, int n, Layout const& layout, bool exclusive = false) {
     int const per = static_cast<int>(layout.data.size());
-    int const elements = op == CollOp::allreduce ? n : n * call.p;
+    int const elements = op == CollOp::reduce_scatter ? n * call.p : n;
     std::vector<int> send(static_cast<std::size_t>(elements) * layout.extent, kSendGap);
     for (int e = 0; e < elements; ++e) {
         for (int j = 0; j < per; ++j) {
@@ -555,29 +556,36 @@ void check_ring_shaped(
     ctx.recvcount = static_cast<std::size_t>(n);
     ctx.sendtype = layout.type;
     ctx.op = XMPI_SUM;
+    ctx.exclusive = exclusive;
     run(op, ctx);
-    // reduce_scatter: rank r's result is block r of the reduced vector.
-    int const first = op == CollOp::allreduce ? 0 : call.r * n;
-    for (int e = 0; e < n; ++e) {
+    // reduce_scatter: rank r's result is block r of the reduced vector;
+    // (ex)scan: the ranks before r, and r itself for scan. Exscan leaves
+    // rank 0's receive buffer untouched.
+    int const first = op == CollOp::reduce_scatter ? call.r * n : 0;
+    int const contributors = op != CollOp::scan ? call.p : exclusive ? call.r : call.r + 1;
+    bool const defined = contributors > 0;
+    for (int e = 0; defined && e < n; ++e) {
         for (int j = 0; j < per; ++j) {
             int const k = (first + e) * per + j;
-            ASSERT_EQ(recv[e * layout.extent + layout.data[j]], range_sum(0, call.p, k))
+            ASSERT_EQ(recv[e * layout.extent + layout.data[j]], range_sum(0, contributors, k))
                 << "element " << e << " of " << n;
         }
     }
-    if (keeps_gaps && !call.in_place) {
-        auto const gaps = recv.size() - static_cast<std::size_t>(n * per);
-        EXPECT_EQ(static_cast<std::size_t>(std::count(recv.begin(), recv.end(), kRecvGap)), gaps)
+    if (!call.in_place) {
+        auto const untouched =
+            defined ? recv.size() - static_cast<std::size_t>(n * per) : recv.size();
+        EXPECT_EQ(
+            static_cast<std::size_t>(std::count(recv.begin(), recv.end(), kRecvGap)), untouched)
             << "a gap of the receive buffer was overwritten";
     }
 }
 
 /// @brief Forces every candidate of @c op, then none (the default pick),
 /// and runs check_ring_shaped blocking and in place. The default pick must
-/// be the one tuning::select names for the payload. The rings and
-/// reduce_then_scatter write only the datatype's elements; the other
-/// entries still copy whole extents.
-void check_every_ring_shaped(CollOp op, int p, int n, Layout const& layout) {
+/// be the one tuning::select names for the payload. Every entry writes only
+/// the datatype's elements into a separate receive buffer.
+void check_every_ring_shaped(
+    CollOp op, int p, int n, Layout const& layout, bool exclusive = false) {
     tuning::SelectCtx sctx;
     sctx.p = p;
     sctx.block_bytes = layout.type->packed_size(static_cast<std::size_t>(n));
@@ -588,15 +596,13 @@ void check_every_ring_shaped(CollOp op, int p, int n, Layout const& layout) {
         SCOPED_TRACE(
             std::string(tuning::coll_op_name(op)) + "/"
             + (algorithm != nullptr ? algorithm : "default"));
-        std::string const picked = algorithm != nullptr ? algorithm : expected_default;
-        bool const keeps_gaps = picked == "ring" || picked == "reduce_then_scatter";
         tuning::coll().force_algorithm = algorithm;
         World::run_ranked(p, [&](int r) {
             auto const blocking = xmpi::detail::blocking_channel(*XMPI_COMM_WORLD, op);
             (void)xmpi::profile::take_algorithm();
             for (bool const in_place: {false, true}) {
                 check_ring_shaped(
-                    Call{*XMPI_COMM_WORLD, r, p, in_place, blocking}, op, n, layout, keeps_gaps);
+                    Call{*XMPI_COMM_WORLD, r, p, in_place, blocking}, op, n, layout, exclusive);
                 EXPECT_STREQ(
                     xmpi::profile::take_algorithm(),
                     algorithm != nullptr ? algorithm : expected_default);
@@ -643,6 +649,8 @@ TEST_P(EveryAlgorithm, DerivedDatatypeReductionsMatchTheReference) {
     int const p = GetParam();
     check_every_ring_shaped(CollOp::allreduce, p, kDerivedCount, gapped);
     check_every_ring_shaped(CollOp::reduce_scatter, p, kDerivedBlock, gapped);
+    check_every_ring_shaped(CollOp::scan, p, kDerivedBlock, gapped);
+    check_every_ring_shaped(CollOp::scan, p, kDerivedBlock, gapped, /*exclusive=*/true);
     XMPI_Type_free(&resized);
     XMPI_Type_free(&vector);
 }

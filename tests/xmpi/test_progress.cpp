@@ -1,8 +1,8 @@
 /// @file test_progress.cpp
-/// @brief The shared non-blocking progress engine: bounded worker pool,
-/// caller-driven progress under saturation, inline backpressure fallback,
-/// failure sweeps (revocation / rank death), and the incomplete-destruction
-/// diagnosis that replaced the old thread-per-request silent join.
+/// @brief Non-blocking operations as fibers on their initiating rank: no
+/// thread per operation (and no pool), progress under crossed initiation
+/// orders, failure handling (revocation, rank death while a fiber is
+/// parked), and the diagnosis of requests freed before completion.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -21,9 +21,9 @@ namespace chaos = xmpi::chaos;
 namespace progress = xmpi::progress;
 using xmpi::World;
 
-/// @brief Restores the default engine configuration when a test that
-/// narrowed the pool (1 worker, tiny queue) finishes, so suites sharing this
-/// binary never inherit a deliberately hostile setup.
+/// @brief Restores the default engine configuration after each test
+/// (configure() no longer has any effect; kept for the tests that still set
+/// it).
 class ProgressTest : public ::testing::Test {
 protected:
     void TearDown() override { progress::configure({}); }
@@ -60,24 +60,9 @@ void revoke_once(XMPI_Comm comm) {
     }
 }
 
-TEST_F(ProgressTest, ConfigurationRoundTrips) {
-    EXPECT_GE(progress::default_thread_count(), 1u);
-
-    progress::configure({.threads = 2, .queue_capacity = 8});
-    auto const narrowed = progress::current_config();
-    EXPECT_EQ(narrowed.threads, 2u);
-    EXPECT_EQ(narrowed.queue_capacity, 8u);
-
-    progress::configure({});
-    auto const defaults = progress::current_config();
-    EXPECT_EQ(defaults.threads, 0u);
-    EXPECT_EQ(defaults.queue_capacity, 1024u);
-}
-
-// The headline property of the engine: hundreds of in-flight non-blocking
-// collectives across many communicators cost O(pool) threads, not one thread
-// per initiation, and still all complete correctly (caller-driven progress
-// breaks any dependency cycle between them even on a 1-worker pool).
+// Hundreds of in-flight non-blocking collectives across many communicators
+// cost no thread per initiation, and still all complete correctly (each
+// rank resumes its own fibers while it waits).
 TEST_F(ProgressTest, ConcurrentInitiationStressAcrossCommunicators) {
     constexpr int kRanks = 4;
     constexpr int kComms = 8;
@@ -163,50 +148,60 @@ TEST_F(ProgressTest, ConcurrentInitiationStressAcrossCommunicators) {
     });
 }
 
-// queue_capacity = 0 forces every submission onto the backpressure path: the
-// initiating rank runs the collective inline (eager fallback, equivalent to
-// the blocking form), nothing is ever enqueued, and the request completes
-// immediately.
-TEST_F(ProgressTest, FullQueueFallsBackToInlineExecution) {
-    progress::configure({.threads = 1, .queue_capacity = 0});
-
-    constexpr int kOps = 4;
+// Two ranks initiate non-blocking allreduces on two communicators in
+// opposite orders, which MPI allows (only the order per communicator must
+// match). A design that runs each operation to completion before the next
+// deadlocks here; fibers interleave them on each rank.
+TEST_F(ProgressTest, CrossedInitiationOrderAcrossCommunicatorsCompletes) {
     World::run_ranked(2, [&](int rank) {
-        for (int i = 0; i < kOps; ++i) {
-            int const value = rank + 1 + i;
-            int sum = 0;
-            XMPI_Request request = XMPI_REQUEST_NULL;
-            ASSERT_EQ(
-                XMPI_Iallreduce(&value, &sum, 1, XMPI_INT, XMPI_SUM, XMPI_COMM_WORLD, &request),
-                XMPI_SUCCESS);
-            // The operation already ran inline at initiation: a single test()
-            // observes completion without any waiting.
-            int flag = 0;
-            ASSERT_EQ(XMPI_Test(&request, &flag, XMPI_STATUS_IGNORE), XMPI_SUCCESS);
-            EXPECT_EQ(flag, 1);
-            EXPECT_EQ(sum, 2 * i + 3);
+        std::array<XMPI_Comm, 2> comms{};
+        for (auto& comm: comms) {
+            ASSERT_EQ(XMPI_Comm_dup(XMPI_COMM_WORLD, &comm), XMPI_SUCCESS);
         }
-        auto const snapshot = xmpi::profile::my_snapshot();
-        EXPECT_EQ(snapshot.engine_inline_fallbacks, static_cast<std::uint64_t>(kOps));
-        EXPECT_EQ(snapshot.engine_tasks, 0u);
+        std::array<int, 2> value{10 + rank, 20 + rank};
+        std::array<int, 2> sum{-1, -1};
+        std::array<XMPI_Request, 2> requests{XMPI_REQUEST_NULL, XMPI_REQUEST_NULL};
+        for (int i = 0; i < 2; ++i) {
+            int const c = rank == 0 ? i : 1 - i;
+            ASSERT_EQ(
+                XMPI_Iallreduce(&value[c], &sum[c], 1, XMPI_INT, XMPI_SUM, comms[c], &requests[c]),
+                XMPI_SUCCESS);
+        }
+        ASSERT_EQ(XMPI_Waitall(2, requests.data(), XMPI_STATUSES_IGNORE), XMPI_SUCCESS);
+        EXPECT_EQ(sum[0], 21);
+        EXPECT_EQ(sum[1], 41);
+        for (auto& comm: comms) {
+            XMPI_Comm_free(&comm);
+        }
     });
 }
 
-// More in-flight operations than the default queue holds (4 ranks x 512 >
-// 1024): once the queue is full an initiator must run its own queued tasks,
-// oldest first, before a slot frees. Running the NEW task inline instead
-// blocks it on peers whose matching older tasks still wait in the queue —
-// the engine used to hang here from about 300 operations per rank.
-TEST_F(ProgressTest, FullQueueDrainsOwnQueuedTasksBeforeRunningInline) {
+// 4 ranks x 512 operations in flight complete, and no operation creates a
+// thread: once the world is set up (main + 4 rank threads, plus whatever a
+// sanitizer runtime runs), the live thread count never grows.
+TEST_F(ProgressTest, FiveHundredTwelveInFlightPerRankCreateNoThread) {
     constexpr int kRanks = 4;
     constexpr int kComms = 4;
     constexpr int kInFlight = 512; // per rank
+    std::atomic<long> set_up{0};
+    std::atomic<long> most{0};
+    auto const sample = [&] {
+        long const now = current_thread_count();
+        long seen = most.load();
+        while (now > seen && !most.compare_exchange_weak(seen, now)) {
+        }
+    };
 
     World::run_ranked(kRanks, [&](int rank) {
         std::array<XMPI_Comm, kComms> comms{};
         for (auto& comm: comms) {
             ASSERT_EQ(XMPI_Comm_dup(XMPI_COMM_WORLD, &comm), XMPI_SUCCESS);
         }
+        XMPI_Barrier(XMPI_COMM_WORLD);
+        if (rank == 0) {
+            set_up.store(current_thread_count());
+        }
+        XMPI_Barrier(XMPI_COMM_WORLD);
         std::vector<int> sendbuf(kInFlight);
         std::vector<int> recvbuf(kInFlight, -1);
         std::vector<XMPI_Request> requests(kInFlight, XMPI_REQUEST_NULL);
@@ -217,242 +212,189 @@ TEST_F(ProgressTest, FullQueueDrainsOwnQueuedTasksBeforeRunningInline) {
                     &sendbuf[i], &recvbuf[i], 1, XMPI_INT, XMPI_SUM, comms[i % kComms],
                     &requests[i]),
                 XMPI_SUCCESS);
+            if (i % 64 == 0) {
+                sample();
+            }
         }
-        ASSERT_EQ(XMPI_Waitall(kInFlight, requests.data(), XMPI_STATUSES_IGNORE), XMPI_SUCCESS);
+        sample();
+        for (int i = 0; i < kInFlight; i += 64) {
+            ASSERT_EQ(XMPI_Waitall(64, &requests[i], XMPI_STATUSES_IGNORE), XMPI_SUCCESS);
+            sample();
+        }
         for (int i = 0; i < kInFlight; ++i) {
             EXPECT_EQ(recvbuf[i], kInFlight * kRanks * (kRanks - 1) / 2 + kRanks * i);
         }
+        EXPECT_EQ(xmpi::profile::my_snapshot().engine_tasks, static_cast<std::uint64_t>(kInFlight));
         for (auto& comm: comms) {
             XMPI_Comm_free(&comm);
         }
     });
+    if (set_up.load() > 0) {
+        EXPECT_GE(set_up.load(), 1 + kRanks);
+        EXPECT_LE(most.load(), set_up.load());
+    }
 }
 
-// Revoking a communicator must fail its queued-but-unstarted tasks in place:
-// a later test() reports XMPI_ERR_REVOKED via the sweep (ulfm_revoke ->
-// fail_queued_for_comm), not by running the collective on a dead
-// communicator.
-//
-// Pinning the 1-worker pool deterministically: rank 0 initiates an
-// iallreduce whose matching initiation on rank 1 only happens at release
-// time. Recursive doubling cannot complete without the peer's contribution,
-// and the queue is FIFO, so whether the worker has claimed the blocker or
-// not, every task submitted afterwards is guaranteed to still be queued
-// until the blocker is released.
-TEST_F(ProgressTest, RevocationFailsQueuedTasks) {
-    progress::configure({.threads = 1, .queue_capacity = 1024});
+// A chaos kill lands on rank 2 while fibers are parked on every rank: the
+// survivors' allreduce waits for rank 2's contribution, and rank 2's own
+// allreduce on a second communicator waits for peers that never join it.
+// Survivors get PROC_FAILED or REVOKED. The victim's parked fiber unwinds
+// when its thread exits, so nothing it referenced is touched afterwards and
+// nothing leaks.
+TEST_F(ProgressTest, ChaosKillWhileFibersAreParked) {
+    constexpr int kRanks = 3;
+    constexpr int kVictim = 2;
+    chaos::arm_next_world(
+        chaos::FaultPlan(0xF1BE5).kill_at_call(kVictim, chaos::Call::iallreduce, 2));
 
+    // The victim's buffers and its pending request outlive its stack; the
+    // request is freed after the world ends.
+    static int lone_send = 0;
+    static int lone_recv = 0;
+    static XMPI_Request lone = XMPI_REQUEST_NULL;
+    std::atomic<int> initiated{0};
+
+    World::run_ranked(kRanks, [&](int rank) {
+        XMPI_Comm shared_comm = XMPI_COMM_NULL;
+        XMPI_Comm lone_comm = XMPI_COMM_NULL;
+        ASSERT_EQ(XMPI_Comm_dup(XMPI_COMM_WORLD, &shared_comm), XMPI_SUCCESS);
+        ASSERT_EQ(XMPI_Comm_dup(XMPI_COMM_WORLD, &lone_comm), XMPI_SUCCESS);
+        // Frees the handles on every exit, the victim's unwind included.
+        struct Release {
+            XMPI_Comm& comm;
+            ~Release() {
+                if (comm != XMPI_COMM_NULL) {
+                    XMPI_Comm_free(&comm);
+                }
+            }
+        } release_shared{shared_comm}, release_lone{lone_comm};
+
+        if (rank == kVictim) {
+            ASSERT_EQ(
+                XMPI_Iallreduce(&lone_send, &lone_recv, 1, XMPI_INT, XMPI_SUM, lone_comm, &lone),
+                XMPI_SUCCESS);
+            while (initiated.load() < kRanks - 1) {
+                std::this_thread::yield();
+            }
+            int value = rank;
+            int sum = 0;
+            XMPI_Request killed = XMPI_REQUEST_NULL;
+            // The second iallreduce call is the chaos kill: RankKilled unwinds.
+            XMPI_Iallreduce(&value, &sum, 1, XMPI_INT, XMPI_SUM, shared_comm, &killed);
+            ADD_FAILURE() << "the victim survived its kill";
+            return;
+        }
+
+        int value = rank;
+        int sum = 0;
+        XMPI_Request request = XMPI_REQUEST_NULL;
+        ASSERT_EQ(
+            XMPI_Iallreduce(&value, &sum, 1, XMPI_INT, XMPI_SUM, shared_comm, &request),
+            XMPI_SUCCESS);
+        initiated.fetch_add(1);
+        int const err = XMPI_Wait(&request, XMPI_STATUS_IGNORE);
+        EXPECT_TRUE(err == XMPI_ERR_PROC_FAILED || err == XMPI_ERR_REVOKED)
+            << "unexpected error code " << err;
+        if (err != XMPI_SUCCESS) {
+            revoke_once(shared_comm);
+        }
+    });
+
+    ASSERT_NE(lone, XMPI_REQUEST_NULL);
+    int flag = 0;
+    XMPI_Status status;
+    EXPECT_EQ(XMPI_Test(&lone, &flag, &status), XMPI_ERR_PROC_FAILED);
+    EXPECT_EQ(flag, 1);
+}
+
+// Revoking a communicator fails the non-blocking operations on it that can
+// no longer complete: rank 0's allreduce waits for a rank that never joins
+// it, rank 1 revokes, and one test() on rank 0 reports XMPI_ERR_REVOKED —
+// the revocation's wake resumes the parked fiber, which sees it.
+TEST_F(ProgressTest, RevocationFailsQueuedTasks) {
     World::run_ranked(2, [&](int rank) {
-        XMPI_Comm blocker_comm = XMPI_COMM_NULL;
         XMPI_Comm revoked_comm = XMPI_COMM_NULL;
-        ASSERT_EQ(XMPI_Comm_dup(XMPI_COMM_WORLD, &blocker_comm), XMPI_SUCCESS);
         ASSERT_EQ(XMPI_Comm_dup(XMPI_COMM_WORLD, &revoked_comm), XMPI_SUCCESS);
 
-        int const blocker_value = rank + 1;
-        int blocker_sum = 0;
-        XMPI_Request blocker = XMPI_REQUEST_NULL;
-        if (rank == 0) {
-            ASSERT_EQ(
-                XMPI_Iallreduce(
-                    &blocker_value, &blocker_sum, 1, XMPI_INT, XMPI_SUM, blocker_comm, &blocker),
-                XMPI_SUCCESS);
-        }
-        XMPI_Barrier(XMPI_COMM_WORLD);
-
-        // Both victims enqueue behind the blocker and can never start.
         int const value = rank;
         int sum = 0;
         XMPI_Request victim = XMPI_REQUEST_NULL;
-        ASSERT_EQ(
-            XMPI_Iallreduce(&value, &sum, 1, XMPI_INT, XMPI_SUM, revoked_comm, &victim),
-            XMPI_SUCCESS);
-        XMPI_Barrier(XMPI_COMM_WORLD);
-
         if (rank == 0) {
+            ASSERT_EQ(
+                XMPI_Iallreduce(&value, &sum, 1, XMPI_INT, XMPI_SUM, revoked_comm, &victim),
+                XMPI_SUCCESS);
+            int flag = 1;
+            ASSERT_EQ(XMPI_Test(&victim, &flag, XMPI_STATUS_IGNORE), XMPI_SUCCESS);
+            EXPECT_EQ(flag, 0); // parked: rank 1 never contributes
+        }
+        XMPI_Barrier(XMPI_COMM_WORLD);
+        if (rank == 1) {
             ASSERT_EQ(XMPI_Comm_revoke(revoked_comm), XMPI_SUCCESS);
         }
         XMPI_Barrier(XMPI_COMM_WORLD);
 
-        // The sweep already completed the task: one test() observes it.
-        int flag = 0;
-        XMPI_Status status;
-        int const err = XMPI_Test(&victim, &flag, &status);
-        EXPECT_EQ(flag, 1);
-        EXPECT_EQ(err, XMPI_ERR_REVOKED);
-        EXPECT_EQ(status.error, XMPI_ERR_REVOKED);
-        XMPI_Barrier(XMPI_COMM_WORLD);
-
-        // Release: rank 1 supplies the matching initiation; both waits
-        // complete the blocker normally (caller-driven progress runs
-        // whichever side is still queued).
-        if (rank == 1) {
-            ASSERT_EQ(
-                XMPI_Iallreduce(
-                    &blocker_value, &blocker_sum, 1, XMPI_INT, XMPI_SUM, blocker_comm, &blocker),
-                XMPI_SUCCESS);
+        if (rank == 0) {
+            int flag = 0;
+            XMPI_Status status;
+            int const err = XMPI_Test(&victim, &flag, &status);
+            EXPECT_EQ(flag, 1);
+            EXPECT_EQ(err, XMPI_ERR_REVOKED);
+            EXPECT_EQ(status.error, XMPI_ERR_REVOKED);
         }
-        ASSERT_EQ(XMPI_Wait(&blocker, XMPI_STATUS_IGNORE), XMPI_SUCCESS);
-        EXPECT_EQ(blocker_sum, 3);
-
-        XMPI_Comm_free(&blocker_comm);
         XMPI_Comm_free(&revoked_comm);
     });
 }
 
-// A chaos plan kills rank 2 at its second iallreduce *initiation*, leaving
-// its first task queued on the engine. The rank-death sweep
-// (World::mark_failed -> fail_queued_for_rank) must complete that task
-// without ever running it — the dead rank's stack is gone — and survivors'
-// waits must error out instead of hanging.
-TEST_F(ProgressTest, ChaosKillLeavesQueuedTasksFailedNotRun) {
-    progress::configure({.threads = 1, .queue_capacity = 1024});
-
-    constexpr int kRanks = 3;
-    constexpr std::uint64_t kSeed = 0xC0FFEE;
-    chaos::arm_next_world(chaos::FaultPlan(kSeed).kill_at_call(2, chaos::Call::iallreduce, 2));
-
-    // Buffers live outside the rank lambdas: a task claimed by the worker
-    // before its initiator dies may legitimately still touch them while the
-    // victim's own stack unwinds.
-    static std::array<int, kRanks> first_send{};
-    static std::array<int, kRanks> first_recv{};
-    static std::array<int, kRanks> second_send{};
-    static std::array<int, kRanks> second_recv{};
-
-    // Every rank finishes set-up before any rank initiates: otherwise rank 2
-    // can race through both dups and die while a peer still waits inside the
-    // second one, whose receive then (rightly) reports the failure — the
-    // peer leaves the test early and the third rank waits on it forever.
-    std::atomic<int> set_up{0};
-
-    World::run_ranked(kRanks, [&](int rank) {
-        XMPI_Comm first_comm = XMPI_COMM_NULL;
-        XMPI_Comm second_comm = XMPI_COMM_NULL;
-        ASSERT_EQ(XMPI_Comm_dup(XMPI_COMM_WORLD, &first_comm), XMPI_SUCCESS);
-        ASSERT_EQ(XMPI_Comm_dup(XMPI_COMM_WORLD, &second_comm), XMPI_SUCCESS);
-        set_up.fetch_add(1);
-        while (set_up.load() < kRanks) {
-            std::this_thread::yield();
-        }
-
-        first_send[rank] = rank + 1;
-        second_send[rank] = (rank + 1) * 10;
-
-        XMPI_Request first = XMPI_REQUEST_NULL;
-        XMPI_Request second = XMPI_REQUEST_NULL;
-        // Call 1: fine on every rank. The 1-worker pool claims one task and
-        // blocks in it; the others stay queued.
-        ASSERT_EQ(
-            XMPI_Iallreduce(
-                &first_send[rank], &first_recv[rank], 1, XMPI_INT, XMPI_SUM, first_comm, &first),
-            XMPI_SUCCESS);
-        // Call 2: rank 2 dies at the profiled entry point, before submitting
-        // — its queued first task must be swept, never run.
-        ASSERT_EQ(
-            XMPI_Iallreduce(
-                &second_send[rank], &second_recv[rank], 1, XMPI_INT, XMPI_SUM, second_comm,
-                &second),
-            XMPI_SUCCESS);
-
-        // Only survivors get here. Neither collective can complete without
-        // rank 2's contribution; waits must report the failure (directly, or
-        // as REVOKED once a peer that observed it first revokes — the ULFM
-        // survivor protocol, see test_ulfm.cpp).
-        int const err_second = XMPI_Wait(&second, XMPI_STATUS_IGNORE);
-        EXPECT_NE(err_second, XMPI_SUCCESS);
-        if (err_second != XMPI_SUCCESS) {
-            revoke_once(second_comm);
-        }
-        int const err_first = XMPI_Wait(&first, XMPI_STATUS_IGNORE);
-        EXPECT_NE(err_first, XMPI_SUCCESS);
-        if (err_first != XMPI_SUCCESS) {
-            revoke_once(first_comm);
-        }
-        for (int const err: {err_second, err_first}) {
-            EXPECT_TRUE(err == XMPI_ERR_PROC_FAILED || err == XMPI_ERR_REVOKED)
-                << "unexpected error code " << err;
-        }
-
-        XMPI_Comm_free(&first_comm);
-        XMPI_Comm_free(&second_comm);
-    });
-}
-
-// The old thread-per-request destructor silently join()ed an incomplete request —
-// a hidden blocking point. The engine diagnoses the misuse (counter +
-// stderr), then still does the safe thing: cancel a still-queued task
-// outright, so freeing an unstarted request never blocks or leaves a worker
-// touching freed buffers.
+// Freeing a request before its operation completed is diagnosed (counter +
+// stderr) and safe: the free returns only once the fiber finished, so
+// nothing touches the caller's buffers afterwards. Cancelling a
+// non-blocking collective is refused and the operation still completes.
 TEST_F(ProgressTest, FreeingIncompleteRequestIsDiagnosedAndSafe) {
-    progress::configure({.threads = 1, .queue_capacity = 1024});
-
+    std::atomic<bool> freeing{false};
     World::run_ranked(2, [&](int rank) {
-        XMPI_Comm blocker_comm = XMPI_COMM_NULL;
         XMPI_Comm leaked_comm = XMPI_COMM_NULL;
-        ASSERT_EQ(XMPI_Comm_dup(XMPI_COMM_WORLD, &blocker_comm), XMPI_SUCCESS);
         ASSERT_EQ(XMPI_Comm_dup(XMPI_COMM_WORLD, &leaked_comm), XMPI_SUCCESS);
 
-        // Pin the single worker (same deterministic construction as in
-        // RevocationFailsQueuedTasks): rank 0's half-initiated iallreduce
-        // heads the FIFO queue and cannot complete until released, so the
-        // soon-to-be-leaked tasks are guaranteed to still be queued.
-        int const blocker_value = rank + 1;
-        int blocker_sum = 0;
-        XMPI_Request blocker = XMPI_REQUEST_NULL;
-        if (rank == 0) {
-            ASSERT_EQ(
-                XMPI_Iallreduce(
-                    &blocker_value, &blocker_sum, 1, XMPI_INT, XMPI_SUM, blocker_comm, &blocker),
-                XMPI_SUCCESS);
-        }
-        XMPI_Barrier(XMPI_COMM_WORLD);
-
-        int const value = rank;
+        int const value = rank + 1;
         int sum = 0;
         XMPI_Request leaked = XMPI_REQUEST_NULL;
-        ASSERT_EQ(
-            XMPI_Iallreduce(&value, &sum, 1, XMPI_INT, XMPI_SUM, leaked_comm, &leaked),
-            XMPI_SUCCESS);
-        XMPI_Barrier(XMPI_COMM_WORLD);
+        if (rank == 0) {
+            ASSERT_EQ(
+                XMPI_Iallreduce(&value, &sum, 1, XMPI_INT, XMPI_SUM, leaked_comm, &leaked),
+                XMPI_SUCCESS);
+            freeing.store(true);
+            // Rank 1 contributes only now, so the operation is incomplete
+            // here: diagnosed, and the free waits for it.
+            ASSERT_EQ(XMPI_Request_free(&leaked), XMPI_SUCCESS);
+            EXPECT_EQ(sum, 3);
+            EXPECT_EQ(xmpi::profile::my_snapshot().engine_incomplete_destructions, 1u);
+        } else {
+            while (!freeing.load()) {
+                std::this_thread::yield();
+            }
+            ASSERT_EQ(
+                XMPI_Iallreduce(&value, &sum, 1, XMPI_INT, XMPI_SUM, leaked_comm, &leaked),
+                XMPI_SUCCESS);
+            ASSERT_EQ(XMPI_Wait(&leaked, XMPI_STATUS_IGNORE), XMPI_SUCCESS);
+            EXPECT_EQ(sum, 3);
+            EXPECT_EQ(xmpi::profile::my_snapshot().engine_incomplete_destructions, 0u);
+        }
 
-        // Freeing without wait/test: diagnosed, queued task cancelled, and
-        // crucially this returns instead of blocking forever on a task the
-        // pinned worker would never reach.
-        ASSERT_EQ(XMPI_Request_free(&leaked), XMPI_SUCCESS);
-
-        auto const snapshot = xmpi::profile::my_snapshot();
-        EXPECT_EQ(snapshot.engine_incomplete_destructions, 1u);
-
-        // An abandoned-by-the-book request (Cancel, then free) is not an
-        // error and must not be counted as one.
-        int other = rank;
         int other_sum = 0;
         XMPI_Request cancelled = XMPI_REQUEST_NULL;
         ASSERT_EQ(
-            XMPI_Iallreduce(&other, &other_sum, 1, XMPI_INT, XMPI_SUM, leaked_comm, &cancelled),
+            XMPI_Iallreduce(&value, &other_sum, 1, XMPI_INT, XMPI_SUM, leaked_comm, &cancelled),
             XMPI_SUCCESS);
         ASSERT_EQ(XMPI_Cancel(&cancelled), XMPI_SUCCESS);
-        ASSERT_EQ(XMPI_Request_free(&cancelled), XMPI_SUCCESS);
-        EXPECT_EQ(xmpi::profile::my_snapshot().engine_incomplete_destructions, 1u);
-        XMPI_Barrier(XMPI_COMM_WORLD);
+        ASSERT_EQ(XMPI_Wait(&cancelled, XMPI_STATUS_IGNORE), XMPI_SUCCESS);
+        EXPECT_EQ(other_sum, 3);
 
-        // Release the blocker: rank 1 supplies the matching initiation.
-        if (rank == 1) {
-            ASSERT_EQ(
-                XMPI_Iallreduce(
-                    &blocker_value, &blocker_sum, 1, XMPI_INT, XMPI_SUM, blocker_comm, &blocker),
-                XMPI_SUCCESS);
-        }
-        ASSERT_EQ(XMPI_Wait(&blocker, XMPI_STATUS_IGNORE), XMPI_SUCCESS);
-        EXPECT_EQ(blocker_sum, 3);
-
-        XMPI_Comm_free(&blocker_comm);
         XMPI_Comm_free(&leaked_comm);
     });
 }
 
-// Tracing spans produced by the engine are tagged with the time the task
-// spent queued before a worker (or helping caller) picked it up.
+// Tracing spans of non-blocking operations carry the queue_s field (0: a
+// fiber starts at initiation).
 TEST_F(ProgressTest, SpansCarryQueueWaitTime) {
     xmpi::profile::clear_spans();
     xmpi::profile::set_tracing_enabled(true);
