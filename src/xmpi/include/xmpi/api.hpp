@@ -186,8 +186,9 @@ int XMPI_Request_free(XMPI_Request* request);
 ///
 /// Partitioned sends (XMPI_Psend_init) split the buffer into @c partitions
 /// equal parts of @c count elements each; any thread may mark partitions
-/// ready with XMPI_Pready once started, and the last ready partition ships
-/// the whole buffer as a single message. XMPI_Parrived reports arrival on
+/// ready with XMPI_Pready once started, and once the last partition is
+/// ready the owning rank's next library call ships the whole buffer as a
+/// single message. XMPI_Parrived reports arrival on
 /// the receive side at whole-message granularity.
 /// @{
 int XMPI_Start(XMPI_Request* request);

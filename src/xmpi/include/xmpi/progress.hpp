@@ -11,7 +11,8 @@
 ///  - where the fiber would block in Waiter::wait_until it parks instead
 ///    and control returns to its rank,
 ///  - the rank thread resumes its parked fibers, oldest first, in test(),
-///    wait(), poll() and on every rung of its own blocking waits — but only
+///    wait(), poll() (run by every XMPI_Test*, XMPI_Iprobe and XMPI_Parrived)
+///    and on every rung of its own blocking waits — but only
 ///    those whose Waiter epoch moved since they parked (the rank re-checks
 ///    their predicate first, without switching), whose deadline passed, or
 ///    that must unwind. The eventcount already notifies every event that
@@ -53,7 +54,8 @@ namespace detail {
 
 /// @brief Starts @c body (returning an XMPI error code) as a fiber of the
 /// calling rank and returns the request tracking it. @c op names the
-/// operation for tracing spans.
+/// operation for tracing spans. If no stack can be mapped, @c body never
+/// runs and the request completes with XMPI_ERR_INTERN.
 Request* submit(char const* op, std::function<int()> body);
 
 /// @brief Unwinds every fiber the calling thread owns (rank-thread exit).

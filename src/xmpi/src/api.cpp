@@ -703,6 +703,7 @@ int XMPI_Pready(int partition, XMPI_Request request) {
 
 int XMPI_Parrived(XMPI_Request request, int partition, int* flag) {
     count_call(xmpi::profile::Call::parrived);
+    xmpi::progress::poll();
     auto* precv = dynamic_cast<xmpi::detail::PartitionedRecvRequest*>(request);
     if (precv == nullptr) {
         return XMPI_ERR_REQUEST;

@@ -329,12 +329,38 @@ PartitionedSendRequest::PartitionedSendRequest(
       ctx_(current_context()),
       ready_(std::make_unique<std::atomic<bool>[]>(static_cast<std::size_t>(partitions))) {}
 
+PartitionedSendRequest::~PartitionedSendRequest() {
+    // Freed while started: a round whose partitions are all ready still
+    // sends (it reads the buffer until then); any other round ends unsent.
+    if (active_) {
+        started_.store(false, std::memory_order_release);
+        waiter_of(ctx_).notify();
+        Status status;
+        inner_->wait(status);
+        inner_.reset();
+    }
+}
+
 int PartitionedSendRequest::do_start() {
     for (int i = 0; i < partitions_; ++i) {
         ready_[static_cast<std::size_t>(i)].store(false, std::memory_order_relaxed);
     }
     ready_count_.store(0, std::memory_order_relaxed);
     started_.store(true, std::memory_order_release);
+    // One fiber per round: it parks until the last pready notifies the
+    // owning rank, then ships the whole buffer as one message. Every rung
+    // of the owner's waits resumes it, so a blocking call made between the
+    // last pready and this request's wait still sends the message.
+    inner_.reset(progress::detail::submit("psend", [this] {
+        waiter_of(ctx_).wait_until(
+            [&] { return all_ready() || !started_.load(std::memory_order_acquire); });
+        if (!all_ready()) {
+            return XMPI_ERR_REQUEST; // freed before its partitions were ready
+        }
+        started_.store(false, std::memory_order_release); // the round takes no more pready
+        std::size_t const total = part_count_ * static_cast<std::size_t>(partitions_);
+        return transport_send(*comm_, dest_, tag_, comm_->pt2pt_context(), buf_, total, *type_);
+    }));
     return XMPI_SUCCESS;
 }
 
@@ -349,9 +375,8 @@ int PartitionedSendRequest::pready(int partition) {
         return XMPI_ERR_ARG; // partition marked ready twice in one epoch
     }
     if (ready_count_.fetch_add(1, std::memory_order_acq_rel) + 1 == partitions_) {
-        // Last partition: publish readiness only. The owner's test/wait
-        // sends the message, so the send acts as the owning rank even when
-        // this thread is a foreign producer.
+        // Last partition: wake the round's fiber. The send still acts as the
+        // owning rank when this thread is a foreign producer.
         waiter_of(ctx_).notify();
     }
     return XMPI_SUCCESS;
@@ -359,47 +384,6 @@ int PartitionedSendRequest::pready(int partition) {
 
 bool PartitionedSendRequest::all_ready() const {
     return ready_count_.load(std::memory_order_acquire) == partitions_;
-}
-
-void PartitionedSendRequest::ship_if_ready() {
-    if (!active_ || inner_ != nullptr || !all_ready()) {
-        return;
-    }
-    // Ship the whole buffer as one message, as a fiber of the owning rank.
-    Comm* comm = comm_;
-    void const* buf = buf_;
-    std::size_t const total = part_count_ * static_cast<std::size_t>(partitions_);
-    Datatype const* type = type_;
-    int const dest = dest_;
-    int const tag = tag_;
-    inner_.reset(progress::detail::submit("psend", [=] {
-        return transport_send(*comm, dest, tag, comm->pt2pt_context(), buf, total, *type);
-    }));
-}
-
-bool PartitionedSendRequest::test(Status& status) {
-    ship_if_ready();
-    if (!PersistentRequest::test(status)) {
-        return false;
-    }
-    started_.store(false, std::memory_order_release);
-    return true;
-}
-
-bool PartitionedSendRequest::peek() {
-    ship_if_ready();
-    return PersistentRequest::peek();
-}
-
-void PartitionedSendRequest::wait(Status& status) {
-    if (active_) {
-        // Producers may still be marking partitions; the last pready
-        // notifies the owner.
-        waiter_of(ctx_).wait_until([&] { return all_ready(); });
-        ship_if_ready();
-    }
-    PersistentRequest::wait(status);
-    started_.store(false, std::memory_order_release);
 }
 
 PartitionedRecvRequest::PartitionedRecvRequest(

@@ -37,24 +37,22 @@ Request* make_persistent_alltoall(CollCtx const& ctx);
 
 /// @brief Partitioned send (XMPI_Psend_init): the buffer is @c partitions
 /// equal parts of @c part_count elements each. Producer threads mark
-/// partitions ready via pready(); the LAST pready publishes readiness, and
-/// the owning rank's next test/wait ships the whole buffer as one message
-/// (a fiber of that rank), so many producer threads compose into a single
-/// transport message.
+/// partitions ready via pready(). Each start runs one fiber of the owning
+/// rank that waits for the LAST pready and then ships the whole buffer as
+/// one message, so many producer threads compose into a single transport
+/// message.
 class PartitionedSendRequest final : public PersistentRequest {
 public:
     PartitionedSendRequest(
         Comm* comm, int partitions, std::size_t part_count, Datatype const* type,
         void const* buf, int dest, int tag);
+    ~PartitionedSendRequest() override;
 
     /// @brief Marks one partition ready. Callable from any thread once the
     /// request is started. XMPI_ERR_REQUEST when not started, XMPI_ERR_ARG
     /// on an out-of-range or already-ready partition.
     int pready(int partition);
 
-    bool test(Status& status) override;
-    [[nodiscard]] bool peek() override;
-    void wait(Status& status) override;
     bool cancel() override { return false; }
 
 protected:
@@ -62,8 +60,6 @@ protected:
 
 private:
     [[nodiscard]] bool all_ready() const;
-    /// @brief Starts the send once every partition is ready (owner only).
-    void ship_if_ready();
 
     Comm* comm_;
     int partitions_;
@@ -72,10 +68,12 @@ private:
     void const* buf_;
     int dest_;
     int tag_;
-    /// Owning rank; a producer's last pready notifies its Waiter.
+    /// Owning rank; the last pready notifies its Waiter.
     RankContext ctx_;
     std::unique_ptr<std::atomic<bool>[]> ready_;
     std::atomic<int> ready_count_{0};
+    /// Set by start, cleared once the round's fiber saw every partition
+    /// ready (or the request is freed while started).
     std::atomic<bool> started_{false};
 };
 

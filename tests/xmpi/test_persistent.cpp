@@ -341,6 +341,60 @@ TEST(Partitioned, PreadyComposesFromManyProducerThreads) {
     });
 }
 
+// The last Pready hands the message to the owning rank's progress: any
+// blocking call it makes next (here a barrier the receiver enters only after
+// its data arrived) must send it, before the sender ever waits on the
+// partitioned request.
+TEST(Partitioned, BlockingCallAfterLastPreadySendsTheMessage) {
+    constexpr int kPartitions = 3;
+    World::run_ranked(2, [](int rank) {
+        std::vector<int> data(kPartitions, -1);
+        XMPI_Request request;
+        if (rank == 0) {
+            ASSERT_EQ(
+                XMPI_Psend_init(
+                    data.data(), kPartitions, 1, XMPI_INT, 1, 3, XMPI_COMM_WORLD, &request),
+                XMPI_SUCCESS);
+            ASSERT_EQ(XMPI_Start(&request), XMPI_SUCCESS);
+            for (int p = 0; p < kPartitions; ++p) {
+                data[static_cast<std::size_t>(p)] = 7 * p;
+                ASSERT_EQ(XMPI_Pready(p, request), XMPI_SUCCESS);
+            }
+            ASSERT_EQ(XMPI_Barrier(XMPI_COMM_WORLD), XMPI_SUCCESS);
+            ASSERT_EQ(XMPI_Wait(&request, XMPI_STATUS_IGNORE), XMPI_SUCCESS);
+        } else {
+            ASSERT_EQ(
+                XMPI_Precv_init(
+                    data.data(), kPartitions, 1, XMPI_INT, 0, 3, XMPI_COMM_WORLD, &request),
+                XMPI_SUCCESS);
+            ASSERT_EQ(XMPI_Start(&request), XMPI_SUCCESS);
+            ASSERT_EQ(XMPI_Wait(&request, XMPI_STATUS_IGNORE), XMPI_SUCCESS);
+            ASSERT_EQ(XMPI_Barrier(XMPI_COMM_WORLD), XMPI_SUCCESS);
+            for (int p = 0; p < kPartitions; ++p) {
+                EXPECT_EQ(data[static_cast<std::size_t>(p)], 7 * p);
+            }
+        }
+        ASSERT_EQ(XMPI_Request_free(&request), XMPI_SUCCESS);
+    });
+}
+
+// Freeing a started partitioned send whose partitions are not all ready
+// returns without sending (the round's fiber must not wait forever).
+TEST(Partitioned, FreeingAStartedPsendWithOutstandingPartitionsReturns) {
+    World::run(1, [] {
+        std::vector<int> payload(4, 0);
+        XMPI_Request request;
+        ASSERT_EQ(
+            XMPI_Psend_init(
+                payload.data(), 2, 2, XMPI_INT, XMPI_PROC_NULL, 0, XMPI_COMM_WORLD, &request),
+            XMPI_SUCCESS);
+        ASSERT_EQ(XMPI_Start(&request), XMPI_SUCCESS);
+        ASSERT_EQ(XMPI_Pready(1, request), XMPI_SUCCESS);
+        ASSERT_EQ(XMPI_Request_free(&request), XMPI_SUCCESS);
+        EXPECT_EQ(request, XMPI_REQUEST_NULL);
+    });
+}
+
 TEST(Partitioned, PreadyRejectsMisuse) {
     World::run(1, [] {
         std::vector<int> payload(4, 0);

@@ -7,6 +7,7 @@
 
 #include <array>
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -18,16 +19,7 @@
 namespace {
 
 namespace chaos = xmpi::chaos;
-namespace progress = xmpi::progress;
 using xmpi::World;
-
-/// @brief Restores the default engine configuration after each test
-/// (configure() no longer has any effect; kept for the tests that still set
-/// it).
-class ProgressTest : public ::testing::Test {
-protected:
-    void TearDown() override { progress::configure({}); }
-};
 
 /// @brief Live thread count of this process (Linux); 0 when unavailable.
 long current_thread_count() {
@@ -63,7 +55,7 @@ void revoke_once(XMPI_Comm comm) {
 // Hundreds of in-flight non-blocking collectives across many communicators
 // cost no thread per initiation, and still all complete correctly (each
 // rank resumes its own fibers while it waits).
-TEST_F(ProgressTest, ConcurrentInitiationStressAcrossCommunicators) {
+TEST(ProgressTest, ConcurrentInitiationStressAcrossCommunicators) {
     constexpr int kRanks = 4;
     constexpr int kComms = 8;
     constexpr int kRounds = 8;
@@ -152,7 +144,7 @@ TEST_F(ProgressTest, ConcurrentInitiationStressAcrossCommunicators) {
 // opposite orders, which MPI allows (only the order per communicator must
 // match). A design that runs each operation to completion before the next
 // deadlocks here; fibers interleave them on each rank.
-TEST_F(ProgressTest, CrossedInitiationOrderAcrossCommunicatorsCompletes) {
+TEST(ProgressTest, CrossedInitiationOrderAcrossCommunicatorsCompletes) {
     World::run_ranked(2, [&](int rank) {
         std::array<XMPI_Comm, 2> comms{};
         for (auto& comm: comms) {
@@ -176,10 +168,71 @@ TEST_F(ProgressTest, CrossedInitiationOrderAcrossCommunicatorsCompletes) {
     });
 }
 
+// XMPI_Parrived is a polling call, so it resumes the rank's parked fibers
+// like the Test family does. The receiver spins on Parrived while its
+// allreduce is parked waiting for the late rank; the sender finishes that
+// allreduce before it readies the partitions, and it can only finish once
+// the receiver's fiber has run again (at p = 3, recursive doubling folds
+// rank 0 into rank 1, which hands rank 0 the result).
+TEST(ProgressTest, ParrivedPollingAdvancesParkedCollectives) {
+    constexpr int kSender = 0;
+    constexpr int kReceiver = 1;
+    constexpr int kPartitions = 2;
+    World::run_ranked(3, [](int rank) {
+        int const value = rank + 1;
+        int sum = 0;
+        XMPI_Request allreduce = XMPI_REQUEST_NULL;
+        std::array<int, kPartitions> data{-1, -1};
+        XMPI_Request partitioned = XMPI_REQUEST_NULL;
+        if (rank == kReceiver) {
+            ASSERT_EQ(
+                XMPI_Precv_init(
+                    data.data(), kPartitions, 1, XMPI_INT, kSender, 9, XMPI_COMM_WORLD,
+                    &partitioned),
+                XMPI_SUCCESS);
+            ASSERT_EQ(XMPI_Start(&partitioned), XMPI_SUCCESS);
+        } else if (rank == kSender) {
+            ASSERT_EQ(
+                XMPI_Psend_init(
+                    data.data(), kPartitions, 1, XMPI_INT, kReceiver, 9, XMPI_COMM_WORLD,
+                    &partitioned),
+                XMPI_SUCCESS);
+            ASSERT_EQ(XMPI_Start(&partitioned), XMPI_SUCCESS);
+        } else {
+            // Arrive late, so the receiver is already spinning with its
+            // fiber parked.
+            std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        }
+        ASSERT_EQ(
+            XMPI_Iallreduce(&value, &sum, 1, XMPI_INT, XMPI_SUM, XMPI_COMM_WORLD, &allreduce),
+            XMPI_SUCCESS);
+        if (rank == kReceiver) {
+            int flag = 0;
+            while (flag == 0) {
+                ASSERT_EQ(XMPI_Parrived(partitioned, kPartitions - 1, &flag), XMPI_SUCCESS);
+            }
+        } else if (rank == kSender) {
+            ASSERT_EQ(XMPI_Wait(&allreduce, XMPI_STATUS_IGNORE), XMPI_SUCCESS);
+            for (int p = 0; p < kPartitions; ++p) {
+                data[static_cast<std::size_t>(p)] = 100 + p;
+                ASSERT_EQ(XMPI_Pready(p, partitioned), XMPI_SUCCESS);
+            }
+        }
+        ASSERT_EQ(XMPI_Wait(&allreduce, XMPI_STATUS_IGNORE), XMPI_SUCCESS);
+        EXPECT_EQ(sum, 6);
+        if (partitioned != XMPI_REQUEST_NULL) {
+            ASSERT_EQ(XMPI_Wait(&partitioned, XMPI_STATUS_IGNORE), XMPI_SUCCESS);
+            EXPECT_EQ(data[0], 100);
+            EXPECT_EQ(data[1], 101);
+            ASSERT_EQ(XMPI_Request_free(&partitioned), XMPI_SUCCESS);
+        }
+    });
+}
+
 // 4 ranks x 512 operations in flight complete, and no operation creates a
 // thread: once the world is set up (main + 4 rank threads, plus whatever a
 // sanitizer runtime runs), the live thread count never grows.
-TEST_F(ProgressTest, FiveHundredTwelveInFlightPerRankCreateNoThread) {
+TEST(ProgressTest, FiveHundredTwelveInFlightPerRankCreateNoThread) {
     constexpr int kRanks = 4;
     constexpr int kComms = 4;
     constexpr int kInFlight = 512; // per rank
@@ -241,7 +294,7 @@ TEST_F(ProgressTest, FiveHundredTwelveInFlightPerRankCreateNoThread) {
 // Survivors get PROC_FAILED or REVOKED. The victim's parked fiber unwinds
 // when its thread exits, so nothing it referenced is touched afterwards and
 // nothing leaks.
-TEST_F(ProgressTest, ChaosKillWhileFibersAreParked) {
+TEST(ProgressTest, ChaosKillWhileFibersAreParked) {
     constexpr int kRanks = 3;
     constexpr int kVictim = 2;
     chaos::arm_next_world(
@@ -311,7 +364,7 @@ TEST_F(ProgressTest, ChaosKillWhileFibersAreParked) {
 // no longer complete: rank 0's allreduce waits for a rank that never joins
 // it, rank 1 revokes, and one test() on rank 0 reports XMPI_ERR_REVOKED —
 // the revocation's wake resumes the parked fiber, which sees it.
-TEST_F(ProgressTest, RevocationFailsQueuedTasks) {
+TEST(ProgressTest, RevocationFailsQueuedTasks) {
     World::run_ranked(2, [&](int rank) {
         XMPI_Comm revoked_comm = XMPI_COMM_NULL;
         ASSERT_EQ(XMPI_Comm_dup(XMPI_COMM_WORLD, &revoked_comm), XMPI_SUCCESS);
@@ -349,7 +402,7 @@ TEST_F(ProgressTest, RevocationFailsQueuedTasks) {
 // stderr) and safe: the free returns only once the fiber finished, so
 // nothing touches the caller's buffers afterwards. Cancelling a
 // non-blocking collective is refused and the operation still completes.
-TEST_F(ProgressTest, FreeingIncompleteRequestIsDiagnosedAndSafe) {
+TEST(ProgressTest, FreeingIncompleteRequestIsDiagnosedAndSafe) {
     std::atomic<bool> freeing{false};
     World::run_ranked(2, [&](int rank) {
         XMPI_Comm leaked_comm = XMPI_COMM_NULL;
@@ -395,7 +448,7 @@ TEST_F(ProgressTest, FreeingIncompleteRequestIsDiagnosedAndSafe) {
 
 // Tracing spans of non-blocking operations carry the queue_s field (0: a
 // fiber starts at initiation).
-TEST_F(ProgressTest, SpansCarryQueueWaitTime) {
+TEST(ProgressTest, SpansCarryQueueWaitTime) {
     xmpi::profile::clear_spans();
     xmpi::profile::set_tracing_enabled(true);
     World::run(2, [] {
