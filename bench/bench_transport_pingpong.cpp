@@ -9,8 +9,8 @@
 ///     payload either rides a recycled pooled batch block or moves with no
 ///     copy at all through the receiver-pulled rendezvous),
 ///   - coalesced_sends + ring_enqueues + ring_full_fallbacks == messages
-///     (every send appended to an open batch, published a slot, or took the
-///     counted locked bypass; nothing escapes the accounting). This holds
+///     (every send appended to an open batch, published a slot, or waited
+///     for ring space; nothing escapes the accounting). This holds
 ///     for any traffic. The narrower fastpath_sends + ring_full_fallbacks ==
 ///     messages is checked too; it holds here only because every size this
 ///     bench sends is either coalescable (<= coalesce_max_bytes) or a
@@ -46,7 +46,7 @@ struct Result {
                    : static_cast<double>(counters.pool_misses) / static_cast<double>(messages);
     }
     /// Every send either appended to an open batch, published a ring slot,
-    /// or took the counted locked bypass when the ring was full — nothing
+    /// or waited for ring space when the ring was full — nothing
     /// bypasses the accounting. The fastpath form holds for the sizes this
     /// bench sends (see the file header).
     [[nodiscard]] bool paths_consistent() const {
@@ -269,7 +269,7 @@ int main(int argc, char** argv) {
     };
     std::printf(
         "\n%8s %8s %12s %14s %12s %10s %10s %10s\n", "pairs", "bytes", "msgs/pair",
-        "msgs/sec", "usec/msg", "enqueues", "coalesced", "overflow");
+        "msgs/sec", "usec/msg", "enqueues", "coalesced", "ring_waits");
     // Best-of-N per config: throughput on an oversubscribed host is at the
     // mercy of scheduler phase (a single badly-timed preemption can halve
     // one run), and the *capability* of the transport is the best rate it

@@ -105,6 +105,7 @@ auto recv_impl(XMPI_Comm comm, Args&&... args) {
     }
     using V = buffer_value_t<decltype(take_parameter_or_default<ParameterType::recv_buf>(
         default_recv_buf_factory<T>(), args...))>;
+    XMPI_Datatype const datatype = mpi_datatype<V>();
     if (count < 0) {
         // Probe to learn the payload size; then receive exactly that
         // message (matching the probed source/tag, which pins it under
@@ -116,7 +117,7 @@ auto recv_impl(XMPI_Comm comm, Args&&... args) {
             [&] { return XMPI_Probe(source_rank, tag_value, comm, &status); },
             PlanStage::infer_counts);
         int type_size = 0;
-        XMPI_Type_size(mpi_datatype<V>(), &type_size);
+        XMPI_Type_size(datatype, &type_size);
         count = status.count(static_cast<std::size_t>(type_size));
         source_rank = status.source;
         tag_value = status.tag;
@@ -124,21 +125,28 @@ auto recv_impl(XMPI_Comm comm, Args&&... args) {
 
     auto recv =
         PrepareRecv<T>{}(plan, static_cast<std::size_t>(count), /*participate=*/true, args...);
+    // Optional out-values: the element count and the receive status. The
+    // status is filled, and the count computed, only if one was asked for.
+    auto count_param =
+        take_out_parameter_or_ignore<ParameterType::recv_count, int>(args...);
+    auto status_param =
+        take_out_parameter_or_ignore<ParameterType::status, xmpi::Status>(args...);
+    constexpr bool wants_count = !is_ignored_out_v<decltype(count_param)>;
+    constexpr bool wants_status = !is_ignored_out_v<decltype(status_param)>;
     xmpi::Status status;
     Dispatch{}(plan, "XMPI_Recv", [&] {
         return XMPI_Recv(
-            recv.data(), count, mpi_datatype<V>(), source_rank, tag_value, comm, &status);
+            recv.data(), count, datatype, source_rank, tag_value, comm,
+            wants_count || wants_status ? &status : XMPI_STATUS_IGNORE);
     });
-
-    // Optional out-values: the element count and the receive status.
-    auto count_param =
-        take_out_parameter_or_ignore<ParameterType::recv_count, int>(args...);
-    int type_size = 0;
-    XMPI_Type_size(mpi_datatype<V>(), &type_size);
-    count_param.set(status.count(static_cast<std::size_t>(type_size)));
-    auto status_param =
-        take_out_parameter_or_ignore<ParameterType::status, xmpi::Status>(args...);
-    status_param.set(status);
+    if constexpr (wants_count) {
+        int type_size = 0;
+        XMPI_Type_size(datatype, &type_size);
+        count_param.set(status.count(static_cast<std::size_t>(type_size)));
+    }
+    if constexpr (wants_status) {
+        status_param.set(status);
+    }
     return AssembleResult{}(std::move(recv), std::move(count_param), std::move(status_param));
 }
 

@@ -67,6 +67,12 @@ struct IgnoredOutParameter {
     void set(T const&) {}
 };
 
+/// @brief True iff @c Param is the stand-in for an out-value nobody asked for.
+template <typename Param>
+constexpr bool is_ignored_out_v = false;
+template <ParameterType Type, typename T>
+constexpr bool is_ignored_out_v<IgnoredOutParameter<Type, T>> = true;
+
 /// @brief Moves the matching *out*-parameter from the pack, or yields an
 /// IgnoredOutParameter. An in-flavoured parameter of the same type (e.g.
 /// recv_count(5)) is also ignored here — it is read elsewhere.

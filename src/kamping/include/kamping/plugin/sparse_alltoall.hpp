@@ -12,6 +12,7 @@
 /// communication partners.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <thread>
 #include <unordered_map>
@@ -75,6 +76,23 @@ public:
         // only when matched, which is what lets NBX detect global quiescence.
         std::vector<XMPI_Request> send_requests;
         send_requests.reserve(messages.size());
+        XMPI_Request barrier_request = XMPI_REQUEST_NULL;
+        // A dispatch that throws mid-round (a revoke, a chaos kill) leaves
+        // requests outstanding: free them on the way out. A round that runs
+        // to completion has consumed every one of them.
+        struct FreeOutstanding {
+            std::vector<XMPI_Request>& sends;
+            XMPI_Request& barrier;
+            ~FreeOutstanding() {
+                auto const free = [](XMPI_Request& request) {
+                    if (request != XMPI_REQUEST_NULL) {
+                        XMPI_Request_free(&request);
+                    }
+                };
+                std::for_each(sends.begin(), sends.end(), free);
+                free(barrier);
+            }
+        } const free_outstanding{send_requests, barrier_request};
         for (auto const& [destination, payload]: messages) {
             XMPI_Request request = XMPI_REQUEST_NULL;
             plan.note_bytes_in(payload.size() * sizeof(T));
@@ -90,7 +108,6 @@ public:
         // enter the non-blocking barrier; once the barrier completes, every
         // rank's sends have been received and we are done.
         bool barrier_activated = false;
-        XMPI_Request barrier_request = XMPI_REQUEST_NULL;
         while (true) {
             int flag = 0;
             xmpi::Status status;

@@ -1,12 +1,15 @@
 /// @file mailbox.hpp
 /// @brief Per-rank matching engine over the lock-free transport rings.
 ///
-/// Each rank owns one Mailbox. Senders never touch it on the fast path:
-/// they publish into the per-(src,dst) PeerRings (ring.hpp) and poke the
-/// receiver's arrival counter. The receiving rank *pulls* — every receive
-/// entry point (post, await, probe, test) first drains the rank's incoming
-/// rings under the mailbox mutex, which is thereby reduced from a cross-rank
-/// contention point to a consumer-side serializer.
+/// Each rank owns one Mailbox. Senders never touch it: they publish into
+/// the per-(src,dst) PeerRings (ring.hpp) and poke the receiver's arrival
+/// counter. The receiving rank *pulls* — every receive entry point (post,
+/// probe, test) and every rung of every wait of the rank (the Waiter runs
+/// the drain, waiter.hpp) first drains the rank's incoming rings under the
+/// mailbox mutex, which is thereby reduced from a cross-rank contention
+/// point to a consumer-side serializer. A drain is the only delivery path:
+/// a sender facing a full ring waits until the receiver's next drain frees
+/// a slot, and that drain notifies it.
 ///
 /// Matching semantics are unchanged from the classic design: a message is
 /// matched by (context id, source rank, tag); receives may use ANY_SOURCE /
@@ -93,18 +96,18 @@ public:
     /// whenever it moved since the last sweep.
     void notify_push() { waiter_.notify(); }
 
-    /// @brief Ring-full fallback: drains @c ring in order under the mailbox
-    /// mutex, then dispatches @c entry (the one that did not fit; for a batch,
-    /// @c batch_bytes of records) directly. Preserves the sender's
-    /// non-overtaking order because every older entry of that ring enters
-    /// the matching layer first.
-    void deliver_overflow(PeerRing& ring, RingEntry&& entry, std::size_t batch_bytes);
-
     /// @brief Drains the incoming rings if anything arrived since the last
-    /// sweep (waiting senders and the progress engine use it so rendezvous
-    /// and batches keep flowing while a rank blocks elsewhere). Returns true
-    /// on progress.
+    /// sweep. Every rung of the rank's waits runs it (it is the drain the
+    /// Waiter carries); a thread outside the world that polls a handed-off
+    /// request drains through it too. Returns true on progress.
     bool poll();
+
+    /// @brief Drops the unexpected messages of superseded membership epochs
+    /// (counted in stale_epoch_drops). A wait drains whatever arrived,
+    /// epoch_sync's included, so a message of the old epoch can be queued
+    /// before its context turns stale; the rank calls this once it observed
+    /// the transition.
+    void drop_stale_epoch_messages();
 
     /// @brief Tries to match a receive against the unexpected queue (after
     /// draining the rings). On match the message is consumed into @c ticket
@@ -118,8 +121,6 @@ public:
     bool await(std::shared_ptr<RecvTicket> const& ticket, AbortPredicate&& aborted) {
         bool gave_up = false;
         waiter_.wait_until([&](bool parked) {
-            // Drain before checking: completion may be sitting in our rings.
-            poll();
             if (ticket->complete.load(std::memory_order_acquire)) {
                 return true;
             }
@@ -171,7 +172,6 @@ private:
     /// sweep entirely when no push happened since the last one. Returns true
     /// iff any entry was consumed.
     bool drain_rings_locked();
-    bool drain_one_ring_locked(PeerRing& ring);
     void dispatch_entry_locked(RingEntry&& entry, std::size_t batch_bytes);
     void deliver_locked(Message&& message);
 

@@ -115,7 +115,7 @@ inline constexpr std::size_t kCounterCacheLine = 64;
     X(, fastpath_sends, "contiguous sends on the ring fast path")                           \
     X(, ring_enqueues, "ring slots published")                                              \
     X(, coalesced_sends, "small sends appended to an open batch")                           \
-    X(, ring_full_fallbacks, "locked bypass deliveries (ring full)")                        \
+    X(, ring_full_fallbacks, "sends that waited for ring space")                           \
     X(, pool_hits, "payload buffers reused from the pool")                                  \
     X(, pool_misses, "payload buffers heap-allocated")                                      \
     X(, reserved_payload_reuses, "persistent-send slot buffers recycled")                   \

@@ -2,13 +2,14 @@
 /// @brief Lock-free per-(src,dst) transport rings.
 ///
 /// The transport hot path: every send from world rank `src` to world rank
-/// `dst` is published into the PeerRing of that ordered pair. The producer
-/// (the sending rank's thread; its non-blocking operations are fibers on
-/// it) publishes entries with a Vyukov-style sequenced-slot protocol — a
-/// CAS on the tail, which no xmpi path contends — and
-/// the *receiver* pulls entries out when it posts, awaits, or probes a
-/// receive. No mutex is ever taken between two ranks on the fast path; the
-/// receiver's mailbox mutex only serializes consumer-side matching.
+/// `dst` is published into the PeerRing of that ordered pair. Its one
+/// producer is the sending rank's thread (the rank's non-blocking
+/// operations are fibers on it), which claims a slot with a plain load and
+/// store of the tail and publishes it with a Vyukov-style sequence number;
+/// the *receiver* pulls entries out whenever it drains (every receive entry
+/// point and every rung of its waits). No mutex is ever taken between two
+/// ranks; a producer that finds the ring full waits on its own Waiter until
+/// the receiver's next drain empties the ring and notifies it.
 ///
 /// Three entry kinds ride the ring:
 ///   - `batch`: a pooled buffer holding one or more coalesced small
@@ -220,12 +221,15 @@ inline constexpr std::size_t kBatchRecordAlign = alignof(BatchRecordHeader);
     return (raw + kBatchRecordAlign - 1) / kBatchRecordAlign * kBatchRecordAlign;
 }
 
-/// @brief Bounded lock-free ring of one ordered (src,dst) pair.
+/// @brief Bounded lock-free single-producer ring of one ordered (src,dst)
+/// pair.
 ///
-/// Producers publish with the sequenced-slot protocol (CAS on tail_; every
-/// xmpi producer of a ring is the source rank's one thread, so it never
-/// contends); the consumer pops under its mailbox mutex, so pops are
-/// single-threaded and need no CAS. Slots additionally carry the coalescing
+/// The producer (the source rank's thread, whichever thread that is: a
+/// slot may be re-attached to a new thread between sends) claims tail_
+/// with a load and a store and publishes the slot's sequence number; debug
+/// builds check that no two threads produce into one ring at once. Pops
+/// are serialized by the receiving mailbox, so they need no CAS either.
+/// Slots additionally carry the coalescing
 /// state of an open batch: `reserve_` packs (epoch | closed | bytes) so a
 /// producer can CAS-reserve append space in a still-published batch, and
 /// `ready_` counts fully written bytes so the consumer never reads a
@@ -238,9 +242,10 @@ public:
     PeerRing(PeerRing const&) = delete;
     PeerRing& operator=(PeerRing const&) = delete;
 
-    /// @brief Publishes an entry; returns false when the ring is full (the
-    /// caller must fall back to the locked bypass path to preserve order).
-    /// For batch entries, @c batch_bytes is the initial record's footprint.
+    /// @brief Publishes an entry; returns false, leaving @c entry
+    /// untouched, when the ring is full (the caller waits for a drain and
+    /// retries, which preserves order). For batch entries, @c batch_bytes
+    /// is the initial record's footprint.
     bool try_push(RingEntry&& entry, std::size_t batch_bytes = 0);
 
     /// @brief Tries to coalesce a small message into the most recently
@@ -252,6 +257,21 @@ public:
     /// out) and @c batch_bytes receives the number of committed record
     /// bytes. Must be called by one thread at a time (the mailbox mutex).
     bool try_pop(RingEntry& entry, std::size_t& batch_bytes);
+
+    /// @brief Producer side of backpressure: announces (true) or withdraws
+    /// (false) that the producer waits for a slot. It announces, then
+    /// notifies the receiver; a sweep that read the receiver's epoch after
+    /// that notify sees the announcement and notifies the producer back.
+    void set_producer_waiting(bool waiting) {
+        producer_waiting_.store(waiting, std::memory_order_relaxed);
+    }
+    /// @brief Consumer side, once per sweep of this ring: one load that
+    /// stays in the consumer's cache line while nobody waits. Ordered by
+    /// the receiver's epoch (the announcing notify releases it, the sweep's
+    /// epoch read acquires it).
+    [[nodiscard]] bool producer_waiting() const {
+        return producer_waiting_.load(std::memory_order_relaxed);
+    }
 
     [[nodiscard]] std::size_t capacity() const { return capacity_; }
 
@@ -283,7 +303,10 @@ private:
     std::size_t mask_;
     std::unique_ptr<Slot[]> slots_;
     alignas(64) std::atomic<std::uint64_t> tail_{0};
+    /// Debug builds: set while a thread is inside try_push / try_append.
+    std::atomic<bool> producing_{false};
     alignas(64) std::atomic<std::uint64_t> head_{0};
+    std::atomic<bool> producer_waiting_{false};
     /// Position of the most recently published batch slot (append hint).
     alignas(64) std::atomic<std::uint64_t> last_batch_{kNoBatch};
 };

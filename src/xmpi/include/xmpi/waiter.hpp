@@ -24,12 +24,20 @@
 /// rung, never while a predicate runs. notify() may thus be called with any
 /// caller lock held, and a predicate may take any lock of its own.
 ///
+/// Draining: a rank's Waiter carries that rank's mailbox drain
+/// (attach_drain). Every rung runs it before the predicate, with no caller
+/// lock held, so whatever arrived in the rank's rings is matched first and
+/// the ring slots it occupied are free again. No blocking site polls the
+/// mailbox by hand, and a sender waiting for ring space on a rank that
+/// waits anywhere in the library is always released.
+///
 /// Fibers (progress.hpp): inside a fiber, wait_until never spins or sleeps.
-/// It parks the fiber and returns control to its rank thread, which re-checks
-/// the predicate on its own rungs whenever the epoch moved since the fiber
-/// parked, and switches back only once the predicate holds (or the deadline
-/// passed). A rank thread with parked fibers resumes them on every rung and
-/// bounds its block rung by their earliest deadline.
+/// It parks the fiber and returns control to its rank thread, which drains
+/// and re-checks the predicate whenever the epoch moved since the fiber
+/// parked (on its own rungs, and in every polling call), and switches back
+/// only once the predicate holds (or the deadline passed). A rank thread
+/// with parked fibers resumes them on every rung and bounds its block rung
+/// by their earliest deadline.
 #pragma once
 
 #include <algorithm>
@@ -106,6 +114,21 @@ public:
         }
     }
 
+    /// @brief Gives this Waiter its rank's mailbox drain, which every rung
+    /// of a wait runs before its predicate. Set once, before the rank's
+    /// thread first waits.
+    void attach_drain(void (*drain)(void*), void* mailbox) {
+        drain_ = drain;
+        drain_arg_ = mailbox;
+    }
+
+    /// @brief Drains the rank's mailbox, if one is attached.
+    void drain() {
+        if (drain_ != nullptr) {
+            drain_(drain_arg_);
+        }
+    }
+
     /// @brief Number of notify() calls so far. The mailbox uses it as its
     /// arrival counter: a drain is due whenever it moved since the last one.
     [[nodiscard]] std::uint64_t epoch() const { return epoch_.load(std::memory_order_acquire); }
@@ -156,6 +179,7 @@ private:
         // spinning skips the sleep/wake round trip. The yield rung hands the
         // core to the thread we wait on when the machine is oversubscribed.
         for (int i = tuning::spin_budget(); i > 0; --i) {
+            drain();
             resume_own_fibers();
             if (holds(pred, false)) {
                 return true;
@@ -163,6 +187,7 @@ private:
             spin_pause();
         }
         for (int i = tuning::yield_budget(); i > 0; --i) {
+            drain();
             resume_own_fibers();
             if (holds(pred, false)) {
                 return true;
@@ -171,6 +196,7 @@ private:
         }
         for (;;) {
             std::uint64_t const seen = epoch_.load(std::memory_order_seq_cst);
+            drain();
             resume_own_fibers();
             if (holds(pred, true)) {
                 return true;
@@ -206,6 +232,7 @@ private:
         };
         for (;;) {
             std::uint64_t const seen = epoch_.load(std::memory_order_seq_cst);
+            drain();
             if (holds(pred, true)) {
                 return true;
             }
@@ -220,6 +247,8 @@ private:
 
     std::atomic<std::uint64_t> epoch_{0};
     std::atomic<int> sleepers_{0};
+    void (*drain_)(void*) = nullptr;
+    void* drain_arg_ = nullptr;
     std::mutex mutex_;
     std::condition_variable cv_;
 };

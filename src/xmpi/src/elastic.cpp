@@ -228,10 +228,15 @@ Comm* World::epoch_sync() {
     // The epoch-0 communicator is the world communicator: the World owns it
     // and XMPI_Comm_free refuses it, so it is handed out unretained. Every
     // later epoch's communicator is retained for the caller to free.
-    if (es.current != world_comm()) {
-        es.current->retain();
+    Comm* const current = es.current;
+    if (current != world_comm()) {
+        current->retain();
     }
-    return es.current;
+    lock.unlock();
+    // The wait above drained this rank's rings, so messages of a superseded
+    // epoch may sit in its unexpected queue by now.
+    mailbox(me).drop_stale_epoch_messages();
+    return current;
 }
 
 int World::open_session() {

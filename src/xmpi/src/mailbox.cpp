@@ -16,7 +16,9 @@ Mailbox::Mailbox(
       counters_(counters),
       rank_(rank),
       world_size_(world_size),
-      waiter_(world->waiter(rank)) {}
+      waiter_(world->waiter(rank)) {
+    waiter_.attach_drain([](void* self) { (void)static_cast<Mailbox*>(self)->poll(); }, this);
+}
 
 void Mailbox::complete_ticket_locked(
     RecvTicket& ticket, Envelope const& env, std::byte const* data, std::size_t size,
@@ -230,17 +232,6 @@ void Mailbox::dispatch_entry_locked(RingEntry&& entry, std::size_t batch_bytes) 
     }
 }
 
-bool Mailbox::drain_one_ring_locked(PeerRing& ring) {
-    RingEntry entry;
-    std::size_t batch_bytes = 0;
-    bool any = false;
-    while (ring.try_pop(entry, batch_bytes)) {
-        any = true;
-        dispatch_entry_locked(std::move(entry), batch_bytes);
-    }
-    return any;
-}
-
 bool Mailbox::drain_rings_locked() {
     // Snapshot before the sweep: a push racing past the sweep leaves the
     // epoch ahead of drained_, so the next entry point sweeps again.
@@ -253,21 +244,38 @@ bool Mailbox::drain_rings_locked() {
     int const scan_bound = world_size_.load(std::memory_order_acquire);
     for (int src = 0; src < scan_bound; ++src) {
         PeerRing* const ring = rings.peek(src, rank_);
-        if (ring != nullptr) {
-            progressed |= drain_one_ring_locked(*ring);
+        if (ring == nullptr) {
+            continue;
+        }
+        RingEntry entry;
+        std::size_t batch_bytes = 0;
+        while (ring->try_pop(entry, batch_bytes)) {
+            progressed = true;
+            dispatch_entry_locked(std::move(entry), batch_bytes);
+        }
+        // A producer that found this ring full announced itself, then
+        // notified us: this sweep (or a later one) read the epoch after that
+        // notify, sees the announcement, and has just emptied the ring.
+        if (ring->producer_waiting()) {
+            world_->waiter(src).notify();
         }
     }
     drained_.store(target, std::memory_order_release);
     return progressed;
 }
 
-void Mailbox::deliver_overflow(PeerRing& ring, RingEntry&& entry, std::size_t batch_bytes) {
-    {
-        std::lock_guard lock(mutex_);
-        drain_one_ring_locked(ring);
-        dispatch_entry_locked(std::move(entry), batch_bytes);
+void Mailbox::drop_stale_epoch_messages() {
+    std::lock_guard lock(mutex_);
+    for (auto bucket = unexpected_.begin(); bucket != unexpected_.end();) {
+        if (!world_->context_is_stale(bucket->first.context)) {
+            ++bucket;
+            continue;
+        }
+        for (Message& message: bucket->second) {
+            deliver_locked(std::move(message)); // stale for good: counted and dropped
+        }
+        bucket = unexpected_.erase(bucket);
     }
-    waiter_.notify();
 }
 
 bool Mailbox::poll() {

@@ -248,9 +248,9 @@ public:
 
 private:
     /// @brief Whether the rank should switch to @c fiber now. A parked
-    /// fiber is re-checked only if its Waiter's epoch moved; its predicate
-    /// then runs here, on the rank's stack, and the switch happens only once
-    /// it holds.
+    /// fiber is re-checked only if its Waiter's epoch moved; the rank's
+    /// mailbox is drained and the predicate then runs here, on the rank's
+    /// stack, and the switch happens only once it holds.
     static bool ready(Fiber& fiber) {
         if (fiber.unwind_requested || rank_failed(fiber.ctx)) {
             fiber.unwind_requested = true;
@@ -265,6 +265,7 @@ private:
             return false;
         }
         park.seen = epoch;
+        park.waiter->drain();
         try {
             fiber.satisfied = park.probe(park.pred);
         } catch (...) {

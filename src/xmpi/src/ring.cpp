@@ -4,6 +4,8 @@
 #include <cstring>
 #include <new>
 
+#include "kassert/kassert.hpp"
+
 namespace xmpi::detail {
 
 namespace {
@@ -13,6 +15,25 @@ namespace {
     }
     return std::bit_ceil(value);
 }
+
+/// @brief Debug builds: fails if another thread is producing into the same
+/// ring right now. Sequential producers on different threads are fine.
+class SoleProducer {
+public:
+#ifdef NDEBUG
+    explicit SoleProducer(std::atomic<bool>&) {}
+#else
+    explicit SoleProducer(std::atomic<bool>& producing) : producing_(producing) {
+        KASSERT(
+            !producing_.exchange(true, std::memory_order_acquire),
+            "two threads produce into one ring at once");
+    }
+    ~SoleProducer() { producing_.store(false, std::memory_order_release); }
+
+private:
+    std::atomic<bool>& producing_;
+#endif
+};
 } // namespace
 
 PeerRing::PeerRing(std::size_t capacity)
@@ -25,22 +46,14 @@ PeerRing::PeerRing(std::size_t capacity)
 }
 
 bool PeerRing::try_push(RingEntry&& entry, std::size_t batch_bytes) {
-    std::uint64_t pos = tail_.load(std::memory_order_relaxed);
-    Slot* slot = nullptr;
-    while (true) {
-        slot = &slots_[pos & mask_];
-        std::uint64_t const seq = slot->seq.load(std::memory_order_acquire);
-        if (seq == pos) {
-            if (tail_.compare_exchange_weak(pos, pos + 1, std::memory_order_relaxed)) {
-                break;
-            }
-        } else if (seq < pos) {
-            // The slot still holds an unconsumed entry from a lap ago: full.
-            return false;
-        } else {
-            pos = tail_.load(std::memory_order_relaxed);
-        }
+    SoleProducer const sole(producing_);
+    std::uint64_t const pos = tail_.load(std::memory_order_relaxed);
+    Slot* const slot = &slots_[pos & mask_];
+    if (slot->seq.load(std::memory_order_acquire) != pos) {
+        // The slot still holds an unconsumed entry from a lap ago: full.
+        return false;
     }
+    tail_.store(pos + 1, std::memory_order_relaxed);
 
     bool const is_batch = entry.kind == RingEntry::Kind::batch;
     if (is_batch) {
@@ -64,15 +77,14 @@ bool PeerRing::try_push(RingEntry&& entry, std::size_t batch_bytes) {
 }
 
 bool PeerRing::try_append(Envelope const& env, std::byte const* payload, std::uint32_t size) {
+    SoleProducer const sole(producing_);
     std::uint64_t const pos = last_batch_.load(std::memory_order_acquire);
     if (pos == kNoBatch) {
         return false;
     }
     // Coalescing may only target the *newest* published entry: appending to a
     // batch that has a later entry behind it would deliver this record before
-    // that entry, breaking non-overtaking order for a sequential sender.
-    // (A push racing in between is a concurrent producer, which carries no
-    // ordering obligation anyway.)
+    // that entry, breaking non-overtaking order.
     if (tail_.load(std::memory_order_acquire) != pos + 1) {
         return false;
     }
@@ -119,10 +131,10 @@ bool PeerRing::try_pop(RingEntry& entry, std::size_t& batch_bytes) {
 
     batch_bytes = 0;
     if (slot.entry.kind == RingEntry::Kind::batch) {
-        // Close the batch: appenders whose reserve-CAS lands after this
-        // fetch_or see the closed bit and push a fresh slot instead. Then
-        // wait for every appender whose reservation *did* land to finish its
-        // copy — bounded by one in-flight memcpy per producer thread.
+        // Close the batch: an append whose reserve-CAS lands after this
+        // fetch_or sees the closed bit and pushes a fresh slot instead. Then
+        // wait for an append whose reservation *did* land to finish its
+        // copy — bounded by the producer's one in-flight memcpy.
         std::uint64_t const closed =
             slot.reserve_.fetch_or(kClosedBit, std::memory_order_acq_rel);
         std::uint64_t const reserved = closed & kBytesMask;

@@ -28,49 +28,69 @@ int check_peer(Comm const& comm, int peer) {
 
 namespace {
 
-/// @brief Publishes @c entry on the (src,dst) ring and wakes the receiver;
-/// a @c fastpath publish also counts in fastpath_sends. Every counter is
+/// @brief One send's peer, receiver mailbox (only ever poked), (src,dst)
+/// ring, and the sending rank's Waiter and counters.
+struct Route {
+    Comm& comm;
+    int dest;
+    Mailbox& dst_box;
+    PeerRing& ring;
+    Waiter& self;
+    profile::RankCounters& counters;
+};
+
+/// @brief Publishes @c entry on the route's ring and wakes the receiver; a
+/// @c fastpath publish also counts in fastpath_sends. Every counter is
 /// bumped before the wake, so a receiver that got the message reads final
-/// sender counters. When the ring is full the receiver is far behind: take
-/// its mailbox lock once, drain the ring in order, and deliver the entry
-/// directly.
+/// sender counters.
 ///
-/// The full-ring path helps under the receiver's lock instead of waiting for
-/// ring space: several waits (Ibarrier, synchronous-mode send, epoch_sync,
-/// ft_rendezvous, partitioned send) block without draining their rank's
-/// rings, so a sender waiting on such a rank would never wake.
-void publish(
-    Mailbox& dst_box, PeerRing& ring, RingEntry&& entry, std::size_t batch_bytes,
-    bool fastpath, profile::RankCounters& counters) {
-    if (ring.try_push(std::move(entry), batch_bytes)) {
-        counters.ring_enqueues.fetch_add(1, std::memory_order_relaxed);
+/// A full ring backpressures: the send counts once, in ring_full_fallbacks,
+/// and waits on its own Waiter until the receiver's next drain empties the
+/// ring (ring.hpp, set_producer_waiting). Its own rungs drain meanwhile, so
+/// two ranks sending to each other both progress. It returns check_peer's
+/// error instead if the receiver fails or leaves, or the comm is revoked.
+int publish(Route const& route, RingEntry&& entry, std::size_t batch_bytes, bool fastpath) {
+    int err = XMPI_SUCCESS;
+    if (route.ring.try_push(std::move(entry), batch_bytes)) {
+        route.counters.ring_enqueues.fetch_add(1, std::memory_order_relaxed);
         if (fastpath) {
-            counters.fastpath_sends.fetch_add(1, std::memory_order_relaxed);
+            route.counters.fastpath_sends.fetch_add(1, std::memory_order_relaxed);
         }
-        dst_box.notify_push();
-        return;
+    } else {
+        route.counters.ring_full_fallbacks.fetch_add(1, std::memory_order_relaxed);
+        route.ring.set_producer_waiting(true);
+        route.dst_box.notify_push();
+        route.self.wait_until([&](bool parked) {
+            if (route.ring.try_push(std::move(entry), batch_bytes)) {
+                return true;
+            }
+            err = parked ? check_peer(route.comm, route.dest) : XMPI_SUCCESS;
+            return err != XMPI_SUCCESS;
+        });
+        route.ring.set_producer_waiting(false);
     }
-    counters.ring_full_fallbacks.fetch_add(1, std::memory_order_relaxed);
-    dst_box.deliver_overflow(ring, std::move(entry), batch_bytes);
+    if (err == XMPI_SUCCESS) {
+        route.dst_box.notify_push();
+    }
+    return err;
 }
 
 /// @brief Coalescing path for small contiguous sends: ride the open batch
 /// slot if possible, else open a fresh batch.
 int send_small(
-    World& world, Mailbox& dst_box, PeerRing& ring, Envelope const& env,
-    std::byte const* data, std::size_t bytes, profile::RankCounters& counters) {
-    if (ring.try_append(env, data, static_cast<std::uint32_t>(bytes))) {
+    Route const& route, PayloadPool& pool, Envelope const& env, std::byte const* data,
+    std::size_t bytes) {
+    if (route.ring.try_append(env, data, static_cast<std::uint32_t>(bytes))) {
         // The batch slot we appended to is still unconsumed, so its own
         // publish notification is still pending at the receiver — no second
         // wake is needed (see the arrival accounting in mailbox.hpp).
-        counters.coalesced_sends.fetch_add(1, std::memory_order_relaxed);
-        counters.fastpath_sends.fetch_add(1, std::memory_order_relaxed);
+        route.counters.coalesced_sends.fetch_add(1, std::memory_order_relaxed);
+        route.counters.fastpath_sends.fetch_add(1, std::memory_order_relaxed);
         return XMPI_SUCCESS;
     }
 
-    auto& pool = world.payload_pool();
     auto block = std::make_shared<PooledBlock>(
-        &pool, pool.acquire(tuning::transport().coalesce_watermark, counters));
+        &pool, pool.acquire(tuning::transport().coalesce_watermark, route.counters));
     BatchRecordHeader const header{
         env.context, env.source, env.tag, static_cast<std::uint32_t>(bytes)};
     std::memcpy(block->bytes.data(), &header, sizeof(header));
@@ -81,8 +101,7 @@ int send_small(
     RingEntry entry;
     entry.kind = RingEntry::Kind::batch;
     entry.block = std::move(block);
-    publish(dst_box, ring, std::move(entry), batch_record_bytes(bytes), true, counters);
-    return XMPI_SUCCESS;
+    return publish(route, std::move(entry), batch_record_bytes(bytes), true);
 }
 
 /// @brief Receiver-pulled rendezvous for large contiguous point-to-point
@@ -92,15 +111,12 @@ int send_small(
 /// programs cannot deadlock. Restricted to the pt2pt context by the caller:
 /// collective algorithms rely on eager local completion of their sends.
 int send_rendezvous(
-    Comm& comm, World& world, Mailbox& dst_box, PeerRing& ring, Envelope const& env,
-    int dest, int src_world, std::byte const* data, std::size_t bytes,
-    std::shared_ptr<SyncHandle> sync, profile::RankCounters& counters) {
+    Route const& route, Envelope const& env, std::byte const* data, std::size_t bytes,
+    std::shared_ptr<SyncHandle> sync) {
     auto rdv = std::make_shared<RendezvousState>();
     rdv->src_data = data;
     rdv->size = bytes;
-    Mailbox& my_box = world.mailbox(src_world);
-    Waiter& waiter = world.waiter(src_world);
-    rdv->sender = &waiter;
+    rdv->sender = &route.self;
 
     RingEntry entry;
     entry.kind = RingEntry::Kind::rendezvous;
@@ -108,7 +124,9 @@ int send_rendezvous(
     entry.bytes = bytes;
     entry.sync = std::move(sync);
     entry.rendezvous = rdv;
-    publish(dst_box, ring, std::move(entry), 0, true, counters);
+    if (int const err = publish(route, std::move(entry), 0, true); err != XMPI_SUCCESS) {
+        return err;
+    }
 
     // If this rank dies before the descriptor is resolved, mark it
     // abandoned so the receiver fails with XMPI_ERR_PROC_FAILED instead of
@@ -127,23 +145,22 @@ int send_rendezvous(
         }
     } guard{rdv.get()};
 
-    chaos::hit_hook(world, src_world, chaos::Hook::ft_rendezvous_publish);
+    chaos::hit_hook(
+        route.comm.world(), current_world_rank(), chaos::Hook::ft_rendezvous_publish);
 
-    // Wait for the receiver's claim, draining our own mailbox meanwhile: two
-    // ranks exchanging large messages (posted-receive-first, like
-    // XMPI_Sendrecv) must each claim the other's descriptor to complete at
-    // full zero-copy speed instead of falling back.
+    // Wait for the receiver's claim. The Waiter's rungs drain our own
+    // mailbox meanwhile: two ranks exchanging large messages
+    // (posted-receive-first, like XMPI_Sendrecv) must each claim the other's
+    // descriptor to complete at full zero-copy speed instead of falling back.
     auto const deadline =
         Waiter::Clock::now()
         + std::chrono::microseconds(tuning::transport().rendezvous_fallback_us);
-    auto const unclaimed = [&] {
-        return rdv->phase.load(std::memory_order_acquire) == RendezvousState::published;
-    };
+    auto const peer_error = [&] { return check_peer(route.comm, route.dest); };
     while (true) {
-        bool const woke = waiter.wait_until(
+        bool const woke = route.self.wait_until(
             [&](bool parked) {
-                my_box.poll();
-                return !unclaimed() || (parked && check_peer(comm, dest) != XMPI_SUCCESS);
+                return rdv->phase.load(std::memory_order_acquire) != RendezvousState::published
+                       || (parked && peer_error() != XMPI_SUCCESS);
             },
             deadline);
         std::uint32_t phase = rdv->phase.load(std::memory_order_acquire);
@@ -154,11 +171,11 @@ int send_rendezvous(
             // The receiver pulled straight from the user buffer; count the
             // sender side of the zero-copy transfer (the receiver counted
             // its own side at the claim).
-            counters.bytes_zero_copied.fetch_add(bytes, std::memory_order_relaxed);
+            route.counters.bytes_zero_copied.fetch_add(bytes, std::memory_order_relaxed);
             return XMPI_SUCCESS;
         }
         std::uint32_t expected = RendezvousState::published;
-        if (int const err = check_peer(comm, dest); err != XMPI_SUCCESS) {
+        if (int const err = peer_error(); err != XMPI_SUCCESS) {
             if (rdv->phase.compare_exchange_strong(
                     expected, RendezvousState::abandoned, std::memory_order_acq_rel)) {
                 return err;
@@ -205,9 +222,12 @@ int transport_send(
     counters.bytes_sent.fetch_add(bytes, std::memory_order_relaxed);
     world.network_model().charge(bytes);
 
-    Mailbox& dst_box = world.mailbox(dst_world);
-    PeerRing& ring = world.rings().ring(src_world, dst_world);
+    Route const route{
+        .comm = comm, .dest = dest, .dst_box = world.mailbox(dst_world),
+        .ring = world.rings().ring(src_world, dst_world), .self = world.waiter(src_world),
+        .counters = counters};
     auto const& knobs = tuning::transport();
+    auto& pool = world.payload_pool();
 
     if (type.is_contiguous()) {
         // Contiguous fast paths: the packed representation IS the user
@@ -215,15 +235,12 @@ int transport_send(
         // batch block, and large point-to-point messages skip even that via
         // the receiver-pulled rendezvous. Synchronous-mode sends carry a
         // SyncHandle per message and therefore never coalesce.
+        auto const* data = static_cast<std::byte const*>(buf);
         if (bytes <= knobs.coalesce_max_bytes && sync == nullptr) {
-            return send_small(
-                world, dst_box, ring, env, static_cast<std::byte const*>(buf), bytes,
-                counters);
+            return send_small(route, pool, env, data, bytes);
         }
         if (bytes >= knobs.rendezvous_threshold && context == comm.pt2pt_context()) {
-            return send_rendezvous(
-                comm, world, dst_box, ring, env, dest, src_world,
-                static_cast<std::byte const*>(buf), bytes, std::move(sync), counters);
+            return send_rendezvous(route, env, data, bytes, std::move(sync));
         }
     }
 
@@ -231,7 +248,6 @@ int transport_send(
     // small synchronous-mode sends. One copy into a pooled payload, then a
     // lock-free publish like everything else. Persistent sends carry a
     // pre-pinned reservation whose buffer short-circuits the pool entirely.
-    auto& pool = world.payload_pool();
     std::vector<std::byte> payload;
     std::shared_ptr<PayloadSlot> home;
     if (reservation != nullptr) {
@@ -255,22 +271,10 @@ int transport_send(
     entry.block = std::make_shared<PooledBlock>(&pool, std::move(payload), std::move(home));
     type.pack(buf, count, entry.block->bytes.data());
     entry.sync = std::move(sync);
-    publish(dst_box, ring, std::move(entry), 0, false, counters);
-    return XMPI_SUCCESS;
+    return publish(route, std::move(entry), 0, false);
 }
 
 namespace {
-
-/// @brief Abort predicate for a waiting receive: stop if the communicator is
-/// revoked or the (potential) sender has failed.
-struct RecvAbort {
-    Comm const* comm;
-    int source;
-
-    bool operator()() const {
-        return check_peer(*comm, source) != XMPI_SUCCESS;
-    }
-};
 
 /// @brief Thread-local cache of RecvTicket control blocks. Every receive
 /// allocates one shared RecvTicket; recycling the (fixed-size) blocks keeps
@@ -289,11 +293,7 @@ struct TicketBlockCache {
         }
     }
 };
-
-TicketBlockCache& ticket_block_cache() {
-    static thread_local TicketBlockCache cache;
-    return cache;
-}
+thread_local TicketBlockCache t_ticket_blocks;
 
 template <typename T>
 struct TicketAllocator {
@@ -304,7 +304,7 @@ struct TicketAllocator {
     TicketAllocator(TicketAllocator<U> const&) {}
 
     T* allocate(std::size_t n) {
-        auto& cache = ticket_block_cache();
+        auto& cache = t_ticket_blocks;
         std::size_t const bytes = n * sizeof(T);
         if (!cache.blocks.empty() && cache.block_size == bytes) {
             T* block = static_cast<T*>(cache.blocks.back());
@@ -315,7 +315,7 @@ struct TicketAllocator {
     }
 
     void deallocate(T* block, std::size_t n) {
-        auto& cache = ticket_block_cache();
+        auto& cache = t_ticket_blocks;
         std::size_t const bytes = n * sizeof(T);
         if ((cache.block_size == 0 || cache.block_size == bytes)
             && cache.blocks.size() < TicketBlockCache::kMaxBlocks) {
@@ -369,7 +369,7 @@ int transport_recv(
     int const watch = (context == comm.collective_context()) ? ANY_SOURCE : source;
     Mailbox& mailbox = comm.world().mailbox(current_world_rank());
     if (!mailbox.post_or_match(ticket)) {
-        if (!mailbox.await(ticket, RecvAbort{&comm, watch})) {
+        if (!mailbox.await(ticket, [&] { return check_peer(comm, watch) != XMPI_SUCCESS; })) {
             return check_peer(comm, watch);
         }
     }
@@ -424,16 +424,7 @@ int channel_sendrecv(
 }
 
 int check_collective(Comm const& comm) {
-    if (comm.epoch_stale()) {
-        return XMPI_ERR_EPOCH;
-    }
-    if (comm.revoked()) {
-        return XMPI_ERR_REVOKED;
-    }
-    if (comm.any_member_failed()) {
-        return XMPI_ERR_PROC_FAILED;
-    }
-    return XMPI_SUCCESS;
+    return check_peer(comm, ANY_SOURCE);
 }
 
 } // namespace xmpi::detail

@@ -61,8 +61,9 @@ int channel_send(
 int channel_recv(
     Comm& comm, CollChannel channel, int source, void* buf, std::size_t count,
     Datatype const& type);
-/// @brief Send then receive on one channel (eager sends complete locally, so
-/// pairwise exchange rounds cannot deadlock).
+/// @brief Send then receive on one channel. Pairwise exchange rounds cannot
+/// deadlock: a send completes locally, or waits for ring space in a wait
+/// that drains its own rank, so the peer's send progresses too.
 int channel_sendrecv(
     Comm& comm, CollChannel channel, int dest, void const* sendbuf, std::size_t sendcount,
     Datatype const& sendtype, int source, void* recvbuf, std::size_t recvcount,

@@ -445,7 +445,6 @@ int Win::lock(int lock_type, int target) {
     }
     World& world = comm_->world();
     int const origin_world = comm_->world_rank_of(origin);
-    detail::Mailbox& mailbox = world.mailbox(origin_world);
     bool blocked = false;
     double blocked_since = 0.0;
     {
@@ -468,10 +467,6 @@ int Win::lock(int lock_type, int target) {
                 ++blocked_lockers_;
                 counters_of(origin).rma_epoch_waits.fetch_add(1, std::memory_order_relaxed);
             }
-            // While this origin blocks, its transport rings must keep
-            // draining: a peer may wait on a rendezvous claim or batch only
-            // this rank can consume. (A drain never takes a window mutex.)
-            mailbox.poll();
             return false;
         });
         if (blocked) {

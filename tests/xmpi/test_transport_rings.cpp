@@ -1,7 +1,7 @@
 /// @file test_transport_rings.cpp
 /// @brief The lock-free transport core: per-(src,dst) rings, small-send
-/// coalescing into batch slots, the locked overflow bypass when a ring
-/// fills, receiver-pulled rendezvous (zero-copy claim and eager fallback),
+/// coalescing into batch slots, backpressure when a ring fills,
+/// receiver-pulled rendezvous (zero-copy claim and eager fallback),
 /// and sender death mid-rendezvous. The wildcard stress tests here are the
 /// designated TSan targets for the ring protocol (see the tsan-transport
 /// preset): many concurrent producers against one consumer, with matching
@@ -119,9 +119,9 @@ TEST(TransportRings, PostedWildcardWindowPreservesOrder) {
 // Ring overflow
 // ---------------------------------------------------------------------------
 
-// With a tiny ring, a sender that outruns the receiver must take the locked
-// overflow bypass (counted as ring_full_fallbacks) and the bypass must
-// preserve send order relative to the entries still queued in the ring.
+// With a tiny ring, a sender that outruns the receiver must wait for ring
+// space (counted as ring_full_fallbacks) until the receiver's barrier wait
+// drains it, and every message must still arrive in send order.
 TEST(TransportRings, FullRingFallsBackToLockedBypassInOrder) {
     KnobGuard guard;
     xmpi::tuning::transport().ring_capacity = 2; // minimum after rounding
@@ -163,8 +163,10 @@ TEST(TransportRings, FullRingFallsBackToLockedBypassInOrder) {
 // A receiver that stays out of XMPI never drains, so a sender overruns the
 // 2-slot ring deterministically. Every entry kind that fills a slot — a batch
 // of small sends, a packed eager payload, a rendezvous descriptor (which
-// falls back to eager while nobody claims it) — must then take the locked
-// overflow and still arrive intact and in send order.
+// falls back to eager while nobody claims it) — must then wait for ring
+// space, and still arrive intact and in send order. Eager buffering is
+// bounded by the ring, so the receiver enters a library wait (a barrier,
+// whose rungs drain its rings) once the sender is backpressured.
 TEST(TransportRings, EveryEntryKindOverflowsInOrder) {
     KnobGuard guard;
     xmpi::tuning::transport().ring_capacity = 2;
@@ -174,7 +176,6 @@ TEST(TransportRings, EveryEntryKindOverflowsInOrder) {
     };
     // 256 B coalesces, 1 KiB is packed eager, 64 KiB is a rendezvous.
     for (Case const c: {Case{64, 400}, Case{256, 8}, Case{16 * 1024, 4}}) {
-        std::atomic<bool> sent{false};
         World::run_ranked(2, [&](int rank) {
             int const count = static_cast<int>(c.ints);
             std::vector<int> payload(c.ints, -1);
@@ -189,11 +190,12 @@ TEST(TransportRings, EveryEntryKindOverflowsInOrder) {
                 EXPECT_EQ(
                     s.coalesced_sends + s.ring_enqueues + s.ring_full_fallbacks,
                     static_cast<std::uint64_t>(c.messages));
-                sent.store(true);
+                XMPI_Barrier(XMPI_COMM_WORLD);
             } else {
-                while (!sent.load()) {
+                while (xmpi::profile::snapshot_of(0).ring_full_fallbacks == 0) {
                     std::this_thread::yield();
                 }
+                XMPI_Barrier(XMPI_COMM_WORLD);
                 for (int i = 0; i < c.messages; ++i) {
                     XMPI_Recv(
                         payload.data(), count, XMPI_INT, 0, 5, XMPI_COMM_WORLD,
