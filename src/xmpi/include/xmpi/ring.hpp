@@ -8,8 +8,9 @@
 /// store of the tail and publishes it with a Vyukov-style sequence number;
 /// the *receiver* pulls entries out whenever it drains (every receive entry
 /// point and every rung of its waits). No mutex is ever taken between two
-/// ranks; a producer that finds the ring full waits on its own Waiter until
-/// the receiver's next drain empties the ring and notifies it.
+/// ranks; a send that finds the ring full queues its entry on the producer
+/// side (PeerRing::enqueue) and waits on its own Waiter until the
+/// receiver's next drain frees slots and notifies it.
 ///
 /// Three entry kinds ride the ring:
 ///   - `batch`: a pooled buffer holding one or more coalesced small
@@ -243,13 +244,13 @@ public:
     PeerRing& operator=(PeerRing const&) = delete;
 
     /// @brief Publishes an entry; returns false, leaving @c entry
-    /// untouched, when the ring is full (the caller waits for a drain and
-    /// retries, which preserves order). For batch entries, @c batch_bytes
-    /// is the initial record's footprint.
+    /// untouched, when the ring is full or entries are queued (enqueue).
+    /// For batch entries, @c batch_bytes is the initial record's footprint.
     bool try_push(RingEntry&& entry, std::size_t batch_bytes = 0);
 
     /// @brief Tries to coalesce a small message into the most recently
-    /// published batch slot, if it is still unconsumed and has room.
+    /// published batch slot, if it is still unconsumed, has room, and no
+    /// entry is queued.
     bool try_append(Envelope const& env, std::byte const* payload, std::uint32_t size);
 
     /// @brief Consumer side: pops the next published entry. For batch
@@ -258,20 +259,36 @@ public:
     /// bytes. Must be called by one thread at a time (the mailbox mutex).
     bool try_pop(RingEntry& entry, std::size_t& batch_bytes);
 
-    /// @brief Producer side of backpressure: announces (true) or withdraws
-    /// (false) that the producer waits for a slot. It announces, then
-    /// notifies the receiver; a sweep that read the receiver's epoch after
-    /// that notify sees the announcement and notifies the producer back.
-    void set_producer_waiting(bool waiting) {
-        producer_waiting_.store(waiting, std::memory_order_relaxed);
-    }
-    /// @brief Consumer side, once per sweep of this ring: one load that
-    /// stays in the consumer's cache line while nobody waits. Ordered by
-    /// the receiver's epoch (the announcing notify releases it, the sweep's
-    /// epoch read acquires it).
+    /// @name Backpressure
+    /// A send that finds the ring full queues its entry behind the entries
+    /// already queued, in send order, and waits on its rank's Waiter. Each
+    /// of the producer's waiting sends flushes the queue as slots free, so
+    /// it publishes the others' entries as well as its own. While anything
+    /// is queued, try_push and try_append refuse: no later send overtakes.
+    /// Producer side only, except producer_waiting().
+    /// @{
+    /// @brief True iff try_push would refuse now: the ring is full or
+    /// entries are queued.
+    [[nodiscard]] bool full() const;
+    /// @brief Queues @c entry; returns its place in line.
+    std::uint64_t enqueue(RingEntry&& entry, std::size_t batch_bytes);
+    /// @brief Publishes queued entries, oldest first, while slots are free;
+    /// returns how many it published.
+    std::size_t flush();
+    /// @brief True iff the entry at @c place is still queued.
+    [[nodiscard]] bool queued(std::uint64_t place) const;
+    /// @brief Drops the entry at @c place if it is still queued (its send
+    /// failed or unwinds); returns true iff it was.
+    bool withdraw(std::uint64_t place);
+    /// @brief Consumer side, once per sweep of this ring: true iff entries
+    /// are queued. One load of a line the producer writes only when it
+    /// queues or publishes a queued entry. The producer queues, then
+    /// notifies the receiver, so a sweep that read the receiver's epoch
+    /// after that notify sees the queued entries.
     [[nodiscard]] bool producer_waiting() const {
-        return producer_waiting_.load(std::memory_order_relaxed);
+        return queued_count_.load(std::memory_order_relaxed) != 0;
     }
+    /// @}
 
     [[nodiscard]] std::size_t capacity() const { return capacity_; }
 
@@ -299,14 +316,26 @@ private:
     }
     static constexpr std::uint64_t epoch_of(std::uint64_t packed) { return packed >> 48; }
 
+    /// @brief An entry waiting for a slot, and its place in line.
+    struct Queued {
+        std::uint64_t place;
+        std::size_t batch_bytes;
+        RingEntry entry;
+    };
+
+    /// @brief try_push without the queue check.
+    bool push_slot(RingEntry&& entry, std::size_t batch_bytes);
+
     std::size_t capacity_;
     std::size_t mask_;
     std::unique_ptr<Slot[]> slots_;
     alignas(64) std::atomic<std::uint64_t> tail_{0};
-    /// Debug builds: set while a thread is inside try_push / try_append.
+    /// Debug builds: set while a thread is inside a producer-side call.
     std::atomic<bool> producing_{false};
+    std::vector<Queued> queue_; ///< oldest first; producer only
+    std::uint64_t next_place_ = 0;
+    alignas(64) std::atomic<std::size_t> queued_count_{0}; ///< queue_.size()
     alignas(64) std::atomic<std::uint64_t> head_{0};
-    std::atomic<bool> producer_waiting_{false};
     /// Position of the most recently published batch slot (append hint).
     alignas(64) std::atomic<std::uint64_t> last_batch_{kNoBatch};
 };

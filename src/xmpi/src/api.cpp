@@ -250,13 +250,17 @@ int XMPI_Isend(
     void const* buf, int count, XMPI_Datatype datatype, int dest, int tag, XMPI_Comm comm,
     XMPI_Request* request) {
     count_call(xmpi::profile::Call::isend);
+    XMPI_Request deferred = XMPI_REQUEST_NULL;
     int const err = xmpi::detail::transport_send(
-        *comm, dest, tag, comm->pt2pt_context(), buf, static_cast<std::size_t>(count), *datatype);
+        *comm, dest, tag, comm->pt2pt_context(), buf, static_cast<std::size_t>(count), *datatype,
+        nullptr, nullptr, &deferred);
     if (err != XMPI_SUCCESS) {
         return err;
     }
-    *request = new xmpi::detail::CompletedRequest(
-        xmpi::Status{XMPI_UNDEFINED, XMPI_UNDEFINED, XMPI_SUCCESS, 0});
+    *request = deferred != XMPI_REQUEST_NULL
+                   ? deferred
+                   : new xmpi::detail::CompletedRequest(
+                         xmpi::Status{XMPI_UNDEFINED, XMPI_UNDEFINED, XMPI_SUCCESS, 0});
     return XMPI_SUCCESS;
 }
 
@@ -266,13 +270,16 @@ int XMPI_Issend(
     count_call(xmpi::profile::Call::issend);
     auto sync = std::make_shared<xmpi::detail::SyncHandle>(
         comm->world().waiter(xmpi::detail::current_world_rank()));
+    XMPI_Request deferred = XMPI_REQUEST_NULL;
     int const err = xmpi::detail::transport_send(
         *comm, dest, tag, comm->pt2pt_context(), buf, static_cast<std::size_t>(count), *datatype,
-        sync);
+        sync, nullptr, &deferred);
     if (err != XMPI_SUCCESS) {
         return err;
     }
-    if (dest == XMPI_PROC_NULL) {
+    if (deferred != XMPI_REQUEST_NULL) {
+        *request = deferred;
+    } else if (dest == XMPI_PROC_NULL) {
         *request = new xmpi::detail::CompletedRequest(
             xmpi::Status{XMPI_UNDEFINED, XMPI_UNDEFINED, XMPI_SUCCESS, 0});
     } else {

@@ -235,7 +235,7 @@ CollAlgo const* bind_collective(tuning::CollOp op, CollCtx& ctx) {
 
 int run_collective(tuning::CollOp op, CollCtx& ctx) {
     Comm& comm = *ctx.comm;
-    if (int const err = check_collective(comm); err != XMPI_SUCCESS) {
+    if (int const err = check_peer(comm, ANY_SOURCE); err != XMPI_SUCCESS) {
         return err;
     }
     if (op == tuning::CollOp::neighbor_alltoallv && !comm.has_topology()) {

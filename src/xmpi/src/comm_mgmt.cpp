@@ -71,7 +71,7 @@ int allgather_pair(Comm& comm, int const (&mine)[2], int* all) {
 } // namespace
 
 int comm_dup(Comm& comm, Comm** newcomm) {
-    if (int const err = check_collective(comm); err != XMPI_SUCCESS) {
+    if (int const err = check_peer(comm, ANY_SOURCE); err != XMPI_SUCCESS) {
         return err;
     }
     std::vector<int> parent_ranks(static_cast<std::size_t>(comm.size()));
@@ -83,7 +83,7 @@ int comm_dup(Comm& comm, Comm** newcomm) {
 }
 
 int comm_split(Comm& comm, int color, int key, Comm** newcomm) {
-    if (int const err = check_collective(comm); err != XMPI_SUCCESS) {
+    if (int const err = check_peer(comm, ANY_SOURCE); err != XMPI_SUCCESS) {
         return err;
     }
     int const p = comm.size();
@@ -120,7 +120,7 @@ int comm_split(Comm& comm, int color, int key, Comm** newcomm) {
 }
 
 int comm_create(Comm& comm, Group const& group, Comm** newcomm) {
-    if (int const err = check_collective(comm); err != XMPI_SUCCESS) {
+    if (int const err = check_peer(comm, ANY_SOURCE); err != XMPI_SUCCESS) {
         return err;
     }
     // Synchronise like a real implementation (context-id agreement).
@@ -149,7 +149,7 @@ int comm_create(Comm& comm, Group const& group, Comm** newcomm) {
 int dist_graph_create_adjacent(
     Comm& comm, int indegree, int const* sources, int outdegree, int const* destinations,
     Comm** newcomm) {
-    if (int const err = check_collective(comm); err != XMPI_SUCCESS) {
+    if (int const err = check_peer(comm, ANY_SOURCE); err != XMPI_SUCCESS) {
         return err;
     }
     GraphTopology topology;

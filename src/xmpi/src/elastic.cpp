@@ -210,6 +210,7 @@ Comm* World::epoch_sync() {
     if (es.members[static_cast<std::size_t>(me)] != MemberState::active) {
         throw UsageError("epoch_sync: calling rank is not an active member of this world");
     }
+    Comm const* const entered_at = es.current;
     detail::wait_locked(waiter(me), lock, [&] {
         if (!needs_transition_locked()) {
             // Nothing to do (or someone already performed the transition):
@@ -233,9 +234,12 @@ Comm* World::epoch_sync() {
         current->retain();
     }
     lock.unlock();
-    // The wait above drained this rank's rings, so messages of a superseded
-    // epoch may sit in its unexpected queue by now.
-    mailbox(me).drop_stale_epoch_messages();
+    // The wait above drained this rank's rings, so if the epoch turned
+    // meanwhile, messages of the superseded epoch may sit in its unexpected
+    // queue by now.
+    if (current != entered_at) {
+        mailbox(me).drop_stale_epoch_messages();
+    }
     return current;
 }
 

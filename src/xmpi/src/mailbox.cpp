@@ -253,9 +253,9 @@ bool Mailbox::drain_rings_locked() {
             progressed = true;
             dispatch_entry_locked(std::move(entry), batch_bytes);
         }
-        // A producer that found this ring full announced itself, then
+        // A producer that found this ring full queued its entry, then
         // notified us: this sweep (or a later one) read the epoch after that
-        // notify, sees the announcement, and has just emptied the ring.
+        // notify, sees the queued entries, and has just emptied the ring.
         if (ring->producer_waiting()) {
             world_->waiter(src).notify();
         }

@@ -118,13 +118,19 @@ public:
 
 protected:
     int do_start() override {
+        Request* deferred = nullptr;
         if (int const err = transport_send(
                 *comm_, dest_, tag_, comm_->pt2pt_context(), buf_, count_, *type_, nullptr,
-                slot_);
+                slot_, &deferred);
             err != XMPI_SUCCESS) {
             return err;
         }
-        inner_ = std::make_unique<CompletedRequest>(Status{UNDEFINED, UNDEFINED, XMPI_SUCCESS, 0});
+        if (deferred != nullptr) {
+            inner_.reset(deferred);
+        } else {
+            inner_ =
+                std::make_unique<CompletedRequest>(Status{UNDEFINED, UNDEFINED, XMPI_SUCCESS, 0});
+        }
         return XMPI_SUCCESS;
     }
 
@@ -182,7 +188,7 @@ struct CollPlan {
 
     /// @brief One round: the failure check, then the captured algorithm.
     int replay() {
-        if (int const err = check_collective(*ctx.comm); err != XMPI_SUCCESS) {
+        if (int const err = check_peer(*ctx.comm, ANY_SOURCE); err != XMPI_SUCCESS) {
             return err;
         }
         return run_coll_algo(*algo, ctx);

@@ -1,5 +1,6 @@
 #include "xmpi/ring.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
 #include <new>
@@ -47,6 +48,57 @@ PeerRing::PeerRing(std::size_t capacity)
 
 bool PeerRing::try_push(RingEntry&& entry, std::size_t batch_bytes) {
     SoleProducer const sole(producing_);
+    if (queued_count_.load(std::memory_order_relaxed) != 0) {
+        return false; // queued entries go first
+    }
+    return push_slot(std::move(entry), batch_bytes);
+}
+
+bool PeerRing::full() const {
+    std::uint64_t const pos = tail_.load(std::memory_order_relaxed);
+    return queued_count_.load(std::memory_order_relaxed) != 0
+           || slots_[pos & mask_].seq.load(std::memory_order_acquire) != pos;
+}
+
+std::uint64_t PeerRing::enqueue(RingEntry&& entry, std::size_t batch_bytes) {
+    SoleProducer const sole(producing_);
+    queue_.push_back(Queued{next_place_, batch_bytes, std::move(entry)});
+    queued_count_.store(queue_.size(), std::memory_order_relaxed);
+    return next_place_++;
+}
+
+std::size_t PeerRing::flush() {
+    SoleProducer const sole(producing_);
+    std::size_t published = 0;
+    while (published < queue_.size()
+           && push_slot(std::move(queue_[published].entry), queue_[published].batch_bytes)) {
+        ++published;
+    }
+    if (published != 0) {
+        queue_.erase(queue_.begin(), queue_.begin() + static_cast<std::ptrdiff_t>(published));
+        queued_count_.store(queue_.size(), std::memory_order_relaxed);
+    }
+    return published;
+}
+
+bool PeerRing::queued(std::uint64_t place) const {
+    return std::any_of(
+        queue_.begin(), queue_.end(), [&](Queued const& q) { return q.place == place; });
+}
+
+bool PeerRing::withdraw(std::uint64_t place) {
+    SoleProducer const sole(producing_);
+    auto const it = std::find_if(
+        queue_.begin(), queue_.end(), [&](Queued const& q) { return q.place == place; });
+    if (it == queue_.end()) {
+        return false;
+    }
+    queue_.erase(it);
+    queued_count_.store(queue_.size(), std::memory_order_relaxed);
+    return true;
+}
+
+bool PeerRing::push_slot(RingEntry&& entry, std::size_t batch_bytes) {
     std::uint64_t const pos = tail_.load(std::memory_order_relaxed);
     Slot* const slot = &slots_[pos & mask_];
     if (slot->seq.load(std::memory_order_acquire) != pos) {
@@ -79,7 +131,7 @@ bool PeerRing::try_push(RingEntry&& entry, std::size_t batch_bytes) {
 bool PeerRing::try_append(Envelope const& env, std::byte const* payload, std::uint32_t size) {
     SoleProducer const sole(producing_);
     std::uint64_t const pos = last_batch_.load(std::memory_order_acquire);
-    if (pos == kNoBatch) {
+    if (pos == kNoBatch || queued_count_.load(std::memory_order_relaxed) != 0) {
         return false;
     }
     // Coalescing may only target the *newest* published entry: appending to a

@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include "xmpi/chaos.hpp"
+#include "xmpi/progress.hpp"
 #include "xmpi/tuning.hpp"
 
 namespace xmpi::detail {
@@ -45,33 +46,44 @@ struct Route {
 /// sender counters.
 ///
 /// A full ring backpressures: the send counts once, in ring_full_fallbacks,
-/// and waits on its own Waiter until the receiver's next drain empties the
-/// ring (ring.hpp, set_producer_waiting). Its own rungs drain meanwhile, so
-/// two ranks sending to each other both progress. It returns check_peer's
-/// error instead if the receiver fails or leaves, or the comm is revoked.
+/// queues its entry behind the sends already waiting (PeerRing::enqueue)
+/// and waits on its own Waiter. The receiver's sweeps notify it while
+/// anything is queued; each wake flushes the queue in send order. Its own
+/// rungs drain meanwhile, so two ranks sending to each other both progress.
+/// It returns check_peer's error instead if the receiver fails or leaves,
+/// or the comm is revoked; the entry is then withdrawn unsent.
 int publish(Route const& route, RingEntry&& entry, std::size_t batch_bytes, bool fastpath) {
-    int err = XMPI_SUCCESS;
     if (route.ring.try_push(std::move(entry), batch_bytes)) {
         route.counters.ring_enqueues.fetch_add(1, std::memory_order_relaxed);
         if (fastpath) {
             route.counters.fastpath_sends.fetch_add(1, std::memory_order_relaxed);
         }
-    } else {
-        route.counters.ring_full_fallbacks.fetch_add(1, std::memory_order_relaxed);
-        route.ring.set_producer_waiting(true);
         route.dst_box.notify_push();
-        route.self.wait_until([&](bool parked) {
-            if (route.ring.try_push(std::move(entry), batch_bytes)) {
-                return true;
-            }
-            err = parked ? check_peer(route.comm, route.dest) : XMPI_SUCCESS;
-            return err != XMPI_SUCCESS;
-        });
-        route.ring.set_producer_waiting(false);
+        return XMPI_SUCCESS;
     }
-    if (err == XMPI_SUCCESS) {
-        route.dst_box.notify_push();
-    }
+    route.counters.ring_full_fallbacks.fetch_add(1, std::memory_order_relaxed);
+    // Withdraws the entry if the send leaves the wait unsent (an error, or
+    // an unwind of its rank).
+    struct Place {
+        PeerRing& ring;
+        std::uint64_t place;
+        ~Place() { (void)ring.withdraw(place); }
+    } const queued{route.ring, route.ring.enqueue(std::move(entry), batch_bytes)};
+    route.dst_box.notify_push();
+    int err = XMPI_SUCCESS;
+    route.self.wait_until([&](bool parked) {
+        if (route.ring.flush() != 0) {
+            // The flush may have published other waiting sends' entries too:
+            // wake them along with the receiver.
+            route.dst_box.notify_push();
+            route.self.notify();
+        }
+        if (!route.ring.queued(queued.place)) {
+            return true;
+        }
+        err = parked ? check_peer(route.comm, route.dest) : XMPI_SUCCESS;
+        return err != XMPI_SUCCESS;
+    });
     return err;
 }
 
@@ -200,7 +212,7 @@ int send_rendezvous(
 int transport_send(
     Comm& comm, int dest, int tag, int context, void const* buf, std::size_t count,
     Datatype const& type, std::shared_ptr<SyncHandle> sync,
-    std::shared_ptr<PayloadSlot> const& reservation) {
+    std::shared_ptr<PayloadSlot> const& reservation, Request** deferred) {
     if (dest == PROC_NULL) {
         return XMPI_SUCCESS;
     }
@@ -211,21 +223,41 @@ int transport_send(
         return err;
     }
 
-    std::size_t const bytes = type.packed_size(count);
-    Envelope const env{context, comm.rank(), tag};
-
     World& world = comm.world();
     int const src_world = current_world_rank();
     int const dst_world = comm.world_rank_of(dest);
+    PeerRing& ring = world.rings().ring(src_world, dst_world);
+    if (deferred != nullptr && !t_fiber_seam.in_fiber && ring.full()) {
+        // A non-blocking send returns at once. It continues as a fiber of
+        // this rank: the fiber queues its entry before submit returns, so
+        // later sends stay behind it, and this rank's later library calls
+        // progress it.
+        *deferred = progress::detail::submit(
+            "isend", [&comm, dest, tag, context, buf, count, &type, sync, reservation] {
+                int const err =
+                    transport_send(comm, dest, tag, context, buf, count, type, sync, reservation);
+                if (err != XMPI_SUCCESS || sync == nullptr) {
+                    return err;
+                }
+                // A synchronous-mode send completes once it is matched.
+                SyncRequest matched(sync, &comm);
+                Status status;
+                matched.wait(status);
+                return status.error;
+            });
+        return XMPI_SUCCESS;
+    }
+
+    std::size_t const bytes = type.packed_size(count);
+    Envelope const env{context, comm.rank(), tag};
     auto& counters = world.counters(src_world);
     counters.messages_sent.fetch_add(1, std::memory_order_relaxed);
     counters.bytes_sent.fetch_add(bytes, std::memory_order_relaxed);
     world.network_model().charge(bytes);
 
     Route const route{
-        .comm = comm, .dest = dest, .dst_box = world.mailbox(dst_world),
-        .ring = world.rings().ring(src_world, dst_world), .self = world.waiter(src_world),
-        .counters = counters};
+        .comm = comm, .dest = dest, .dst_box = world.mailbox(dst_world), .ring = ring,
+        .self = world.waiter(src_world), .counters = counters};
     auto const& knobs = tuning::transport();
     auto& pool = world.payload_pool();
 
@@ -421,10 +453,6 @@ int channel_sendrecv(
         return err;
     }
     return channel_recv(comm, channel, source, recvbuf, recvcount, recvtype);
-}
-
-int check_collective(Comm const& comm) {
-    return check_peer(comm, ANY_SOURCE);
 }
 
 } // namespace xmpi::detail

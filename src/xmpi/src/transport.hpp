@@ -16,7 +16,8 @@
 namespace xmpi::detail {
 
 /// @brief Result of a pre-flight check on a peer: XMPI_SUCCESS, or the error
-/// class to report (revoked communicator / failed peer).
+/// class to report (stale epoch / revoked communicator / failed peer). With
+/// ANY_SOURCE it checks every member: the entry check of the collectives.
 int check_peer(Comm const& comm, int peer_comm_rank_or_any);
 
 /// @brief Packs and delivers one message into the destination's mailbox.
@@ -25,10 +26,16 @@ int check_peer(Comm const& comm, int peer_comm_rank_or_any);
 /// set, is the pre-pinned payload slot of a persistent send: the packed
 /// eager path takes its buffer instead of hitting the pool, and the
 /// receiver's release returns it there (see PayloadSlot).
+///
+/// A full ring makes the send wait for space (see publish in
+/// transport.cpp). A non-blocking send passes @c deferred instead: if the
+/// ring is full, the send continues as a fiber of the calling rank,
+/// returned in @c *deferred, which completes once the message is published
+/// (and, with @c sync, matched). Otherwise @c *deferred is left untouched.
 int transport_send(
     Comm& comm, int dest, int tag, int context, void const* buf, std::size_t count,
     Datatype const& type, std::shared_ptr<SyncHandle> sync = nullptr,
-    std::shared_ptr<PayloadSlot> const& reservation = nullptr);
+    std::shared_ptr<PayloadSlot> const& reservation = nullptr, Request** deferred = nullptr);
 
 /// @brief Blocking receive; aborts with an error code if the communicator is
 /// revoked or a relevant peer fails while waiting.
@@ -69,8 +76,5 @@ int channel_sendrecv(
     Datatype const& sendtype, int source, void* recvbuf, std::size_t recvcount,
     Datatype const& recvtype);
 /// @}
-
-/// @brief Entry check shared by all collectives: revoked / failed members.
-int check_collective(Comm const& comm);
 
 } // namespace xmpi::detail

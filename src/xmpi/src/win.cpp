@@ -545,7 +545,7 @@ int bcast_handle(Comm& comm, std::uintptr_t* handle) {
 
 int win_create(void* base, std::size_t bytes, int disp_unit, Comm& comm, Win** win) {
     *win = nullptr;
-    if (int const err = check_collective(comm); err != XMPI_SUCCESS) {
+    if (int const err = check_peer(comm, ANY_SOURCE); err != XMPI_SUCCESS) {
         return err;
     }
     int const me = comm.rank();
@@ -580,7 +580,7 @@ int win_create(void* base, std::size_t bytes, int disp_unit, Comm& comm, Win** w
 int win_allocate(std::size_t bytes, int disp_unit, Comm& comm, void** baseptr, Win** win) {
     *baseptr = nullptr;
     *win = nullptr;
-    if (int const err = check_collective(comm); err != XMPI_SUCCESS) {
+    if (int const err = check_peer(comm, ANY_SOURCE); err != XMPI_SUCCESS) {
         return err;
     }
     int const me = comm.rank();

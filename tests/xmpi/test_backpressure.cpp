@@ -374,6 +374,112 @@ TEST(Backpressure, DrainWakesAParkedSender) {
     });
 }
 
+// Many sends of one rank wait on one ring at once: each non-blocking
+// broadcast is a fiber that queues its slot on the root's ring to rank 1.
+// Rank 1 joins only once the root is backpressured, and a binomial
+// broadcast sends nothing back, so only rank 1's drains can wake the root:
+// every sweep must keep waking it while any of its sends still waits.
+TEST(Backpressure, ManySendsWaitingOnOneRingAllComplete) {
+    SmallRing ring;
+    constexpr int kBroadcasts = 16;
+    World::run_ranked(2, [](int rank) {
+        std::vector<std::vector<int>> values(
+            kBroadcasts, std::vector<int>(kInts, rank == 0 ? 0 : -1));
+        if (rank == 0) {
+            for (int i = 0; i < kBroadcasts; ++i) {
+                values[static_cast<std::size_t>(i)].assign(kInts, i);
+            }
+        } else {
+            await_backpressure(xmpi::detail::current_world(), 0);
+        }
+        std::vector<XMPI_Request> requests(kBroadcasts, XMPI_REQUEST_NULL);
+        for (int i = 0; i < kBroadcasts; ++i) {
+            ASSERT_EQ(
+                XMPI_Ibcast(
+                    values[static_cast<std::size_t>(i)].data(), static_cast<int>(kInts), XMPI_INT,
+                    0, XMPI_COMM_WORLD, &requests[static_cast<std::size_t>(i)]),
+                XMPI_SUCCESS);
+        }
+        ASSERT_EQ(XMPI_Waitall(kBroadcasts, requests.data(), XMPI_STATUSES_IGNORE), XMPI_SUCCESS);
+        for (int i = 0; i < kBroadcasts; ++i) {
+            EXPECT_EQ(values[static_cast<std::size_t>(i)].front(), i);
+            EXPECT_EQ(values[static_cast<std::size_t>(i)].back(), i);
+        }
+        if (rank == 0) {
+            EXPECT_GT(xmpi::profile::my_snapshot().ring_full_fallbacks, 0u);
+        }
+    });
+}
+
+// Non-blocking sends stay local on a full ring: Isend, Issend and a
+// persistent send's Start all return while the receiver stays outside the
+// library. A blocking send after them queues behind them, and everything
+// arrives in send order once the receiver receives.
+TEST(Backpressure, NonBlockingSendsReturnOnAFullRing) {
+    SmallRing ring;
+    std::atomic<bool> all_returned{false};
+    World::run_ranked(2, [&](int rank) {
+        if (rank == 1) {
+            await_flag(all_returned);
+            std::vector<int> payload(kInts, -1);
+            for (int i = 0; i <= kMessages; ++i) {
+                ASSERT_EQ(
+                    XMPI_Recv(
+                        payload.data(), static_cast<int>(kInts), XMPI_INT, 0, kBurstTag,
+                        XMPI_COMM_WORLD, XMPI_STATUS_IGNORE),
+                    XMPI_SUCCESS);
+                ASSERT_EQ(payload.front(), i);
+                ASSERT_EQ(payload.back(), i);
+            }
+            return;
+        }
+        int const count = static_cast<int>(kInts);
+        std::vector<std::vector<int>> payloads(kMessages + 1);
+        std::vector<XMPI_Request> requests(kMessages, XMPI_REQUEST_NULL);
+        std::vector<XMPI_Request> persistent;
+        for (int i = 0; i < kMessages; ++i) {
+            auto& payload = payloads[static_cast<std::size_t>(i)];
+            payload.assign(kInts, i);
+            XMPI_Request& request = requests[static_cast<std::size_t>(i)];
+            switch (i % 3) {
+                case 0:
+                    ASSERT_EQ(
+                        XMPI_Isend(
+                            payload.data(), count, XMPI_INT, 1, kBurstTag, XMPI_COMM_WORLD,
+                            &request),
+                        XMPI_SUCCESS);
+                    break;
+                case 1:
+                    ASSERT_EQ(
+                        XMPI_Issend(
+                            payload.data(), count, XMPI_INT, 1, kBurstTag, XMPI_COMM_WORLD,
+                            &request),
+                        XMPI_SUCCESS);
+                    break;
+                default:
+                    ASSERT_EQ(
+                        XMPI_Send_init(
+                            payload.data(), count, XMPI_INT, 1, kBurstTag, XMPI_COMM_WORLD,
+                            &request),
+                        XMPI_SUCCESS);
+                    ASSERT_EQ(XMPI_Start(&request), XMPI_SUCCESS);
+                    persistent.push_back(request);
+                    break;
+            }
+        }
+        EXPECT_GT(xmpi::profile::my_snapshot().ring_full_fallbacks, 0u);
+        all_returned.store(true);
+        auto& last = payloads[kMessages];
+        last.assign(kInts, kMessages);
+        ASSERT_EQ(
+            XMPI_Send(last.data(), count, XMPI_INT, 1, kBurstTag, XMPI_COMM_WORLD), XMPI_SUCCESS);
+        ASSERT_EQ(XMPI_Waitall(kMessages, requests.data(), XMPI_STATUSES_IGNORE), XMPI_SUCCESS);
+        for (XMPI_Request& request: persistent) {
+            ASSERT_EQ(XMPI_Request_free(&request), XMPI_SUCCESS);
+        }
+    });
+}
+
 // A receiver killed while its sender waits for ring space: the send
 // reports the failure instead of waiting forever.
 TEST(Backpressure, KilledReceiverFailsTheWaitingSend) {
