@@ -6,20 +6,22 @@
 /// The ledger is what makes rank death recoverable without a central
 /// server: completions are broadcast in batches (NBX rounds, see
 /// scheduler.hpp), so every rank holds a near-current replica. When a rank
-/// dies, the survivors OR-merge their replicas (an allreduce over the done
-/// bitmap) — any completion at least one survivor witnessed becomes global —
-/// and every task still pending afterwards is re-queued under the new
-/// membership. A task is therefore re-executed iff *no survivor* saw it
+/// dies, the survivors OR-merge their replicas (a bitwise-OR allreduce over
+/// the done bits) — any completion at least one survivor witnessed becomes
+/// global — and every task still pending afterwards is re-queued under the
+/// new membership. A task is therefore re-executed iff *no survivor* saw it
 /// complete; the ledger never records a completion twice (mark_done is
-/// idempotent and reports duplicates).
+/// idempotent and reports duplicates). A replica is one bit per task.
 ///
 /// The checksum fixes the summation order with the fixed-binary-tree kernel
 /// shared with the ReproducibleReduce plugin (apps/repro_sum.hpp): each rank
-/// computes it purely locally over its replica, and agreement is checked
-/// with a MIN/MAX allreduce pair — bit-identical for every p and every
-/// completion arrival order.
+/// computes it purely locally over its replica, one tree-aligned chunk of
+/// contributions at a time, and agreement is checked with a MIN/MAX
+/// allreduce pair — bit-identical for every p and every completion arrival
+/// order.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -31,52 +33,50 @@ namespace apps::kasched {
 
 class Ledger {
 public:
-    explicit Ledger(std::uint64_t n_tasks) : done_(n_tasks, 0) {}
+    explicit Ledger(std::uint64_t n_tasks) : size_(n_tasks), words_((n_tasks + 63) / 64, 0) {}
 
-    [[nodiscard]] std::uint64_t size() const { return done_.size(); }
     [[nodiscard]] std::uint64_t done_count() const { return done_count_; }
-    [[nodiscard]] bool is_done(TaskId id) const { return done_[id] != 0; }
+    [[nodiscard]] bool is_done(TaskId id) const { return (words_[id / 64] >> (id % 64) & 1) != 0; }
 
     /// @brief Records a completion. @return false iff it was already
     /// recorded (a duplicate — only possible through failure recovery, and
     /// counted by the caller as such).
     bool mark_done(TaskId id) {
-        KASSERT(id < done_.size(), "ledger: task id out of range");
-        if (done_[id] != 0) {
+        KASSERT(id < size_, "ledger: task id out of range");
+        if (is_done(id)) {
             return false;
         }
-        done_[id] = 1;
+        words_[id / 64] |= std::uint64_t{1} << (id % 64);
         ++done_count_;
         return true;
     }
 
-    /// @brief The replica's raw done bitmap (one byte per task), the payload
-    /// of the recovery OR-merge.
-    [[nodiscard]] std::vector<std::uint8_t> const& bitmap() const { return done_; }
+    /// @brief The replica's done bits (task id is bit id % 64 of word
+    /// id / 64), the payload of the recovery OR-merge.
+    [[nodiscard]] std::vector<std::uint64_t> const& words() const { return words_; }
 
-    /// @brief OR-merges another replica's bitmap into this one (recovery:
+    /// @brief OR-merges another replica's words into this one (recovery:
     /// a completion any survivor witnessed becomes global).
-    void merge(std::vector<std::uint8_t> const& other) {
-        KASSERT(other.size() == done_.size(), "ledger: replica size mismatch");
+    void merge(std::vector<std::uint64_t> const& other) {
+        KASSERT(other.size() == words_.size(), "ledger: replica size mismatch");
         std::uint64_t count = 0;
-        for (std::size_t i = 0; i < done_.size(); ++i) {
-            done_[i] = static_cast<std::uint8_t>(done_[i] | other[i]);
-            count += done_[i];
+        for (std::size_t i = 0; i < words_.size(); ++i) {
+            words_[i] |= other[i];
+            count += static_cast<std::uint64_t>(std::popcount(words_[i]));
         }
         done_count_ = count;
     }
 
-    /// @brief All task ids still pending in this replica, in id order (the
-    /// recovery scan that feeds re-queueing).
-    [[nodiscard]] std::vector<TaskId> pending() const {
-        std::vector<TaskId> ids;
-        ids.reserve(done_.size() - done_count_);
-        for (std::size_t i = 0; i < done_.size(); ++i) {
-            if (done_[i] == 0) {
-                ids.push_back(static_cast<TaskId>(i));
+    /// @brief Calls @c visit(id), in id order, for every task still pending
+    /// in this replica whose home is @c rank among @c n_ranks (owner_of) —
+    /// the recovery scan that feeds re-queueing.
+    template <typename Visit>
+    void for_each_owned_pending(int rank, int n_ranks, int skew_shares, Visit&& visit) const {
+        for (TaskId id = 0; id < size_; ++id) {
+            if (!is_done(id) && owner_of(id, n_ranks, skew_shares) == rank) {
+                visit(id);
             }
         }
-        return ids;
     }
 
     /// @brief Reproducible replica checksum: the fixed-tree sum of the
@@ -84,15 +84,17 @@ public:
     /// across ranks iff the replicas agree, independent of p and of the
     /// order completions arrived in.
     [[nodiscard]] double checksum() const {
-        std::vector<double> values(done_.size());
-        for (std::size_t i = 0; i < done_.size(); ++i) {
-            values[i] = done_[i] != 0 ? contribution(static_cast<TaskId>(i)) : 0.0;
-        }
-        return repro::fixed_tree_sum(values.data(), values.size());
+        return repro::fixed_tree_sum<double>(
+            size_, [this](std::uint64_t begin, std::uint64_t n, double* out) {
+                for (std::uint64_t i = 0; i < n; ++i) {
+                    out[i] = is_done(begin + i) ? contribution(begin + i) : 0.0;
+                }
+            });
     }
 
 private:
-    std::vector<std::uint8_t> done_;
+    std::uint64_t size_;
+    std::vector<std::uint64_t> words_;
     std::uint64_t done_count_ = 0;
 };
 

@@ -16,12 +16,15 @@
 /// Shared by the kamping ReproducibleReduce plugin (the distributed
 /// reduction: decompose locally, gather partials, stitch on the root) and
 /// the kasched task ledger (a *local* fixed-tree checksum over the
-/// replicated ledger, bit-identical on every rank for every p — see
-/// `fixed_tree_sum`).
+/// replicated ledger, streamed one chunk at a time and bit-identical on
+/// every rank for every p — see `fixed_tree_sum`).
 #pragma once
 
+#include <algorithm>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "kassert/kassert.hpp"
@@ -75,33 +78,25 @@ std::vector<Partial<T>> decompose(T const* block, std::uint64_t offset, std::uin
     return partials;
 }
 
-/// @brief Evaluates the fixed tree node [lo, lo+size) from the stream of
-/// partials sorted by start index, consuming them through @c cursor.
-/// @c valid reports whether the node covered any existing element.
+/// @brief Evaluates the fixed tree node [lo, lo+size), lo < total, from the
+/// stream of partials sorted by start index, consuming them through
+/// @c cursor. Like tree_reduce, a right child at or past @c total does not
+/// exist and is skipped structurally.
 template <typename T, typename Op>
 T stitch(
     Partial<T> const* partials, std::size_t n_partials, std::size_t& cursor, std::uint64_t lo,
-    std::uint64_t size, std::uint64_t total, Op combine, bool& valid) {
+    std::uint64_t size, std::uint64_t total, Op combine) {
     if (cursor < n_partials && partials[cursor].start == lo && partials[cursor].size == size) {
-        valid = true;
         return partials[cursor++].value;
-    }
-    if (lo >= total) {
-        valid = false;
-        return T{};
     }
     std::uint64_t const half = size / 2;
     KASSERT(half >= 1, "stitch descended below a leaf; inconsistent partials");
-    bool left_valid = false;
-    bool right_valid = false;
-    T const left = stitch(partials, n_partials, cursor, lo, half, total, combine, left_valid);
-    T const right =
-        stitch(partials, n_partials, cursor, lo + half, half, total, combine, right_valid);
-    valid = left_valid || right_valid;
-    if (left_valid && right_valid) {
-        return combine(left, right);
+    T const left = stitch(partials, n_partials, cursor, lo, half, total, combine);
+    if (lo + half >= total) {
+        return left;
     }
-    return left_valid ? left : right;
+    T const right = stitch(partials, n_partials, cursor, lo + half, half, total, combine);
+    return combine(left, right);
 }
 
 /// @brief Evaluates the whole fixed tree over @c total elements from sorted
@@ -111,27 +106,29 @@ T stitch_all(Partial<T> const* partials, std::size_t n_partials, std::uint64_t t
     if (total == 0) {
         return T{};
     }
-    std::uint64_t virtual_size = 1;
-    while (virtual_size < total) {
-        virtual_size *= 2;
-    }
     std::size_t cursor = 0;
-    bool valid = false;
-    T const result = stitch(partials, n_partials, cursor, 0, virtual_size, total, combine, valid);
+    T const result = stitch(partials, n_partials, cursor, 0, std::bit_ceil(total), total, combine);
     KASSERT(cursor == n_partials, "reproducible reduce consumed a partial twice");
     return result;
 }
 
-/// @brief Purely local fixed-tree reduction of @c count elements: the same
-/// value any distributed decompose/gather/stitch over the same global array
-/// would produce. The kasched ledger checksums its replicated task states
-/// with this — every rank computes it independently and must agree bit-wise.
-template <typename T, typename Op = std::plus<T>>
-T fixed_tree_sum(T const* data, std::uint64_t count, Op combine = {}) {
-    if (count == 0) {
-        return T{};
+/// @brief Purely local fixed-tree reduction of @c count elements, produced
+/// one tree-aligned chunk at a time by @c fill(begin, n, out) and decomposed
+/// as they come: only one chunk is held, and the value is the one any
+/// distributed decompose/gather/stitch over the same array would produce.
+/// The kasched ledger checksums its replicas with this.
+template <typename T, typename Fill, typename Op = std::plus<T>>
+T fixed_tree_sum(std::uint64_t count, Fill fill, Op combine = {}) {
+    // A power of two, so every full chunk is exactly one node of the tree.
+    constexpr std::uint64_t chunk_size = 4096;
+    std::vector<T> chunk(std::min(count, chunk_size));
+    std::vector<Partial<T>> partials;
+    for (std::uint64_t begin = 0; begin < count; begin += chunk_size) {
+        std::uint64_t const n = std::min(chunk_size, count - begin);
+        fill(begin, n, chunk.data());
+        auto const chunk_partials = decompose(chunk.data(), begin, n, combine);
+        partials.insert(partials.end(), chunk_partials.begin(), chunk_partials.end());
     }
-    auto const partials = decompose(data, 0, count, combine);
     return stitch_all(partials.data(), partials.size(), count, combine);
 }
 

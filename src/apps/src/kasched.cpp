@@ -3,6 +3,7 @@
 /// completion rounds, and elastic recovery. See scheduler.hpp and DESIGN.md.
 #include "apps/kasched/scheduler.hpp"
 
+#include <functional>
 #include <thread>
 #include <unordered_map>
 #include <utility>
@@ -67,16 +68,20 @@ private:
     std::uint64_t state_;
 };
 
-/// Owner-side enqueue with local spill: the window ring takes what fits,
-/// the rest waits in the overflow stack until pops make room.
-void enqueue(RmaDeque& deque, std::vector<TaskId>& overflow, TaskId id) {
-    if (!overflow.empty() || !deque.push(id)) {
-        overflow.push_back(id);
-    }
-}
+/// Owner-side tasks the window ring has no room for, as whole batches (a
+/// received submission batch moves in uncopied). A refill drops every batch
+/// it empties, so an empty overflow after it means no task waits here.
+using Overflow = std::vector<std::vector<TaskId>>;
 
-void refill_from_overflow(RmaDeque& deque, std::vector<TaskId>& overflow) {
-    while (!overflow.empty() && deque.push(overflow.back())) {
+void refill_from_overflow(RmaDeque& deque, Overflow& overflow) {
+    while (!overflow.empty()) {
+        auto& batch = overflow.back();
+        while (!batch.empty() && deque.push(batch.back())) {
+            batch.pop_back();
+        }
+        if (!batch.empty()) {
+            return; // the ring is full
+        }
         overflow.pop_back();
     }
 }
@@ -149,7 +154,7 @@ Stats run_scheduler(kamping::FullCommunicator& comm, Config const& config) {
             // witnessed becomes global, then re-queue the rest below.
             PhaseSpan span("sched_recover");
             auto const merged = c.allreduce(
-                kamping::send_buf(ledger.bitmap()), kamping::op(kamping::ops::max{}));
+                kamping::send_buf(ledger.words()), kamping::op(std::bit_or<>{}));
             ledger.merge(merged);
             ++stats.resyncs;
         }
@@ -161,46 +166,44 @@ Stats run_scheduler(kamping::FullCommunicator& comm, Config const& config) {
         // reference, caller-scoped memory does not.
         auto win = c.win_allocate<std::uint64_t>(RmaDeque::storage_slots(config.deque_capacity));
         RmaDeque deque(win, config.deque_capacity, self);
-        std::vector<TaskId> overflow;
+        Overflow overflow;
 
-        {
-            auto self_epoch = win.lock_guard(self, kamping::LockType::shared);
-            if (initial) {
-                // --- Initial submission: NBX ids to their home owners ----
-                PhaseSpan span("sched_submit");
-                std::uint64_t const lo =
-                    config.n_tasks * static_cast<std::uint64_t>(self) / static_cast<std::uint64_t>(p);
-                std::uint64_t const hi = config.n_tasks * (static_cast<std::uint64_t>(self) + 1)
-                                         / static_cast<std::uint64_t>(p);
-                std::unordered_map<int, std::vector<std::uint64_t>> outbox;
-                for (TaskId id = lo; id < hi; ++id) {
-                    ++stats.submitted;
-                    int const owner = owner_of(id, p, config.skew_shares);
-                    if (owner == self) {
-                        enqueue(deque, overflow, id); // no wire for self-submissions
-                    } else {
-                        outbox[owner].push_back(id);
-                    }
-                }
-                c.alltoallv_sparse(outbox, [&](int /*source*/, std::vector<std::uint64_t> ids) {
-                    for (auto const id: ids) {
-                        enqueue(deque, overflow, id);
-                    }
-                });
-            } else {
-                // --- Recovery re-queue: every task no survivor saw complete
-                // is re-queued under the new membership's placement. -------
-                PhaseSpan span("sched_recover");
-                for (TaskId const id: ledger.pending()) {
-                    if (owner_of(id, p, config.skew_shares) == self) {
-                        enqueue(deque, overflow, id);
-                        ++stats.requeued_after_failure;
-                        xmpi::profile::my_counters().sched_requeue_after_failure.fetch_add(
-                            1, std::memory_order_relaxed);
-                    }
-                }
+        if (initial) {
+            // --- Initial submission: NBX ids to their home owners, in
+            // batches sized before they are filled (none reallocates). ----
+            PhaseSpan span("sched_submit");
+            std::uint64_t const lo =
+                config.n_tasks * static_cast<std::uint64_t>(self) / static_cast<std::uint64_t>(p);
+            std::uint64_t const hi = config.n_tasks * (static_cast<std::uint64_t>(self) + 1)
+                                     / static_cast<std::uint64_t>(p);
+            std::unordered_map<int, std::size_t> counts;
+            for (TaskId id = lo; id < hi; ++id) {
+                ++counts[owner_of(id, p, config.skew_shares)];
             }
-            self_epoch.close();
+            std::unordered_map<int, std::vector<std::uint64_t>> outbox;
+            for (auto const& [owner, count]: counts) {
+                outbox[owner].reserve(count);
+            }
+            for (TaskId id = lo; id < hi; ++id) {
+                outbox[owner_of(id, p, config.skew_shares)].push_back(id);
+            }
+            stats.submitted += hi - lo;
+            if (auto local = outbox.extract(self)) {
+                overflow.push_back(std::move(local.mapped())); // no wire for self-submissions
+            }
+            c.alltoallv_sparse(outbox, [&](int /*source*/, std::vector<std::uint64_t> ids) {
+                overflow.push_back(std::move(ids));
+            });
+        } else {
+            // --- Recovery re-queue: every task no survivor saw complete is
+            // re-queued under the new membership's placement. -------------
+            PhaseSpan span("sched_recover");
+            auto& requeue = overflow.emplace_back();
+            ledger.for_each_owned_pending(
+                self, p, config.skew_shares, [&](TaskId id) { requeue.push_back(id); });
+            stats.requeued_after_failure += requeue.size();
+            xmpi::profile::my_counters().sched_requeue_after_failure.fetch_add(
+                requeue.size(), std::memory_order_relaxed);
         }
 
         // --- Work / round loop -------------------------------------------

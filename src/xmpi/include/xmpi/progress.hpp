@@ -21,7 +21,8 @@
 /// Lifetime: a fiber never outlives its rank thread. A fiber resumed after
 /// its rank was marked failed unwinds (its stack objects are destroyed) and
 /// completes with XMPI_ERR_PROC_FAILED; the rank thread's exit path
-/// (World::detach_current_thread) unwinds every fiber it still owns.
+/// (World::detach_current_thread) waits out the sends whose requests were
+/// freed and unwinds every other fiber it still owns.
 /// Switches swap profile's thread-local tracing notes, so spans and
 /// algorithm notes stay attributed to the operation that made them.
 #pragma once
@@ -55,8 +56,11 @@ namespace detail {
 /// @brief Starts @c body (returning an XMPI error code) as a fiber of the
 /// calling rank and returns the request tracking it. @c op names the
 /// operation for tracing spans. If no stack can be mapped, @c body never
-/// runs and the request completes with XMPI_ERR_INTERN.
-Request* submit(char const* op, std::function<int()> body);
+/// runs and the request completes with XMPI_ERR_INTERN. A @c detachable
+/// fiber (a send, whose request MPI lets the caller free while active)
+/// finishes on its own when its request is freed first; freeing any other
+/// fiber's request early is diagnosed and waits the fiber out.
+Request* submit(char const* op, std::function<int()> body, bool detachable = false);
 
 /// @brief Unwinds every fiber the calling thread owns (rank-thread exit).
 void unwind_fibers();

@@ -113,6 +113,8 @@ struct Fiber {
     FiberPark park{};           ///< where it waits while parked
     bool satisfied = false;     ///< the rank saw the parked predicate hold
     bool unwind_requested = false;
+    /// Its (detachable) request was freed first, possibly by another thread.
+    std::atomic<bool> detached{false};
     int uncaught_base = 0;      ///< uncaught exceptions of the rank at switch-in
     profile::ThreadNotes notes; ///< tracing notes while switched out
     void* fake_stack = nullptr; ///< ASan's per-fiber fake stack
@@ -233,14 +235,17 @@ public:
         xmpi::detail::waiter_of(fiber.ctx).wait_until([&] { return fiber.complete(); });
     }
 
-    /// @brief Unwinds every fiber this thread owns and waits until they are
-    /// gone.
+    /// @brief Unwinds every fiber this thread owns, except detached sends
+    /// (MPI completes those before the process ends), and waits until they
+    /// are all gone. On a failed rank the detached ones unwind too.
     void unwind_all() {
         if (live_.empty()) {
             return;
         }
         for (auto const& fiber: live_) {
-            fiber->unwind_requested = true;
+            if (!fiber->detached.load(std::memory_order_acquire)) {
+                fiber->unwind_requested = true;
+            }
         }
         auto const ctx = live_.front()->ctx;
         xmpi::detail::waiter_of(ctx).wait_until([&] { return live_.empty(); });
@@ -413,15 +418,23 @@ Scheduler& scheduler() {
 /// non-blocking collective is erroneous in MPI).
 class FiberRequest final : public Request {
 public:
-    explicit FiberRequest(std::shared_ptr<Fiber> fiber) : fiber_(std::move(fiber)) {}
+    FiberRequest(std::shared_ptr<Fiber> fiber, bool detachable)
+        : fiber_(std::move(fiber)),
+          detachable_(detachable) {}
 
     ~FiberRequest() override {
         if (fiber_->complete()) {
             return;
         }
-        // MPI requires non-blocking operations to complete before their
-        // request is freed. Diagnose, then wait the fiber out: it references
-        // the caller's buffers. On a failed rank the wait unwinds it instead.
+        if (detachable_) {
+            // Freeing an active send is legal: the rank's later library
+            // calls, or its exit, finish it.
+            fiber_->detached.store(true, std::memory_order_release);
+            return;
+        }
+        // MPI forbids freeing the request of an active non-blocking
+        // collective. Diagnose, then wait the fiber out: it references the
+        // caller's buffers. On a failed rank the wait unwinds it instead.
         if (!rank_failed(fiber_->ctx)) {
             if (auto* counters = counters_of(fiber_->ctx)) {
                 counters->engine_incomplete_destructions.fetch_add(1, std::memory_order_relaxed);
@@ -454,6 +467,7 @@ public:
 
 private:
     std::shared_ptr<Fiber> fiber_;
+    bool detachable_;
 };
 
 } // namespace
@@ -466,13 +480,13 @@ bool poll() {
 
 namespace detail {
 
-Request* submit(char const* op, std::function<int()> body) {
+Request* submit(char const* op, std::function<int()> body, bool detachable) {
     auto fiber = std::make_shared<Fiber>();
     fiber->body = std::move(body);
     fiber->ctx = xmpi::detail::current_context();
     fiber->op = op;
     fiber->started_s = wtime();
-    auto request = std::make_unique<FiberRequest>(fiber);
+    auto request = std::make_unique<FiberRequest>(fiber, detachable);
     try {
         scheduler().start(fiber);
     } catch (std::bad_alloc const&) {

@@ -207,6 +207,43 @@ int send_rendezvous(
     }
 }
 
+/// @brief A non-blocking send on a full ring returns at once. It continues
+/// as a fiber of this rank: the fiber queues its entry before submit
+/// returns, so later sends stay behind it, and this rank's later library
+/// calls progress it. MPI lets the caller free the request while the send
+/// runs, and the caller's buffer and handles may then go, so the fiber sends
+/// a packed copy and holds the communicator. Kept out of line: the hot send
+/// path never runs it.
+[[gnu::cold, gnu::noinline]] Request* defer_send(
+    Comm& comm, int dest, int tag, int context, void const* buf, std::size_t count,
+    Datatype const& type, std::shared_ptr<SyncHandle> sync,
+    std::shared_ptr<PayloadSlot> const& reservation) {
+    std::vector<std::byte> packed(type.packed_size(count));
+    if (!type.is_contiguous()) {
+        type.pack(buf, count, packed.data());
+    } else if (!packed.empty()) {
+        std::memcpy(packed.data(), buf, packed.size());
+    }
+    comm.retain();
+    std::shared_ptr<void> const held(nullptr, [&comm](void*) { comm.release(); });
+    return progress::detail::submit(
+        "isend",
+        [&comm, dest, tag, context, packed = std::move(packed), sync, reservation, held] {
+            int const err = transport_send(
+                comm, dest, tag, context, packed.data(), packed.size(),
+                *predefined_type(BuiltinType::byte_), sync, reservation);
+            if (err != XMPI_SUCCESS || sync == nullptr) {
+                return err;
+            }
+            // A synchronous-mode send completes once it is matched.
+            SyncRequest matched(sync, &comm);
+            Status status;
+            matched.wait(status);
+            return status.error;
+        },
+        /*detachable=*/true);
+}
+
 } // namespace
 
 int transport_send(
@@ -228,23 +265,7 @@ int transport_send(
     int const dst_world = comm.world_rank_of(dest);
     PeerRing& ring = world.rings().ring(src_world, dst_world);
     if (deferred != nullptr && !t_fiber_seam.in_fiber && ring.full()) {
-        // A non-blocking send returns at once. It continues as a fiber of
-        // this rank: the fiber queues its entry before submit returns, so
-        // later sends stay behind it, and this rank's later library calls
-        // progress it.
-        *deferred = progress::detail::submit(
-            "isend", [&comm, dest, tag, context, buf, count, &type, sync, reservation] {
-                int const err =
-                    transport_send(comm, dest, tag, context, buf, count, type, sync, reservation);
-                if (err != XMPI_SUCCESS || sync == nullptr) {
-                    return err;
-                }
-                // A synchronous-mode send completes once it is matched.
-                SyncRequest matched(sync, &comm);
-                Status status;
-                matched.wait(status);
-                return status.error;
-            });
+        *deferred = defer_send(comm, dest, tag, context, buf, count, type, sync, reservation);
         return XMPI_SUCCESS;
     }
 

@@ -1,14 +1,18 @@
 /// @file test_kasched.cpp
 /// @brief kasched: the RMA deque's exactly-once claim guarantee under
-/// concurrent stealing, task-set conservation through the NBX rounds, chaos
+/// concurrent stealing, the bit ledger's streamed checksum, OR-merge and
+/// owned-pending walk, task-set conservation through the NBX rounds, chaos
 /// kills mid-steal and mid-round with ledger-driven re-queueing, and the
 /// scheduler's profile counters and tracing spans.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstdint>
+#include <functional>
 #include <mutex>
+#include <random>
 #include <string_view>
 #include <thread>
 #include <vector>
@@ -155,6 +159,98 @@ TEST(KaschedDeque, ConcurrentStealsClaimEachTaskExactlyOnce) {
     std::sort(claimed.begin(), claimed.end());
     for (std::uint64_t i = 0; i < n; ++i) {
         ASSERT_EQ(claimed[i], i);
+    }
+}
+
+// --- Ledger ---------------------------------------------------------------
+
+/// A ledger over @c n tasks with a seeded random done-set (about half done).
+Ledger random_ledger(std::uint64_t n, std::uint64_t seed) {
+    Ledger ledger(n);
+    std::mt19937_64 rng(seed);
+    for (TaskId id = 0; id < n; ++id) {
+        if (rng() % 2 == 0) {
+            EXPECT_TRUE(ledger.mark_done(id));
+        }
+    }
+    return ledger;
+}
+
+/// The ledger's contributions as one materialised array.
+std::vector<double> materialise(Ledger const& ledger, std::uint64_t n) {
+    std::vector<double> values(n);
+    for (TaskId id = 0; id < n; ++id) {
+        values[id] = ledger.is_done(id) ? contribution(id) : 0.0;
+    }
+    return values;
+}
+
+TEST(KaschedLedger, StreamedChecksumMatchesTheMaterialisedTreeBitForBit) {
+    std::plus<double> const plus;
+    for (std::uint64_t const n: {0ull, 1ull, 4095ull, 4096ull, 4097ull, (1ull << 16) + 3}) {
+        for (std::uint64_t const seed: {1ull, 2ull, 3ull}) {
+            Ledger const ledger = random_ledger(n, seed);
+            auto const values = materialise(ledger, n);
+            // The whole array decomposed and stitched at once, and the tree
+            // evaluated straight from its definition.
+            double materialised = 0.0;
+            double direct = 0.0;
+            if (n > 0) {
+                auto const partials = apps::repro::decompose(values.data(), 0, n, plus);
+                materialised = apps::repro::stitch_all(partials.data(), partials.size(), n, plus);
+                direct = apps::repro::tree_reduce(values.data(), 0, std::bit_ceil(n), n, plus);
+            }
+            auto const streamed = std::bit_cast<std::uint64_t>(ledger.checksum());
+            EXPECT_EQ(streamed, std::bit_cast<std::uint64_t>(materialised)) << "n = " << n;
+            EXPECT_EQ(streamed, std::bit_cast<std::uint64_t>(direct)) << "n = " << n;
+        }
+    }
+}
+
+TEST(KaschedLedger, MergeOrsReplicasAndRecountsDone) {
+    constexpr std::uint64_t n = 1000; // the last word is partly padding
+    Ledger merged(n);
+    Ledger other(n);
+    std::uint64_t expected = 0;
+    for (TaskId id = 0; id < n; ++id) {
+        if (id % 3 == 0) {
+            merged.mark_done(id);
+        }
+        if (id % 5 == 0) {
+            other.mark_done(id);
+        }
+        expected += id % 3 == 0 || id % 5 == 0;
+    }
+    merged.merge(other.words());
+    EXPECT_EQ(merged.done_count(), expected);
+    for (TaskId id = 0; id < n; ++id) {
+        EXPECT_EQ(merged.is_done(id), id % 3 == 0 || id % 5 == 0) << "id " << id;
+    }
+    merged.merge(other.words()); // idempotent
+    EXPECT_EQ(merged.done_count(), expected);
+    EXPECT_FALSE(merged.mark_done(10)); // merged in: now a duplicate
+    EXPECT_TRUE(merged.mark_done(1));
+    EXPECT_EQ(merged.done_count(), expected + 1);
+}
+
+TEST(KaschedLedger, OwnedPendingWalkMatchesTheFilteredScan) {
+    constexpr int skew = 2;
+    for (std::uint64_t const n: {0ull, 1ull, 63ull, 64ull, 65ull, 4097ull}) {
+        Ledger const ledger = random_ledger(n, n + 7);
+        for (int const p: {1, 3, 4}) {
+            for (int rank = 0; rank < p; ++rank) {
+                std::vector<TaskId> expected;
+                for (TaskId id = 0; id < n; ++id) {
+                    if (!ledger.is_done(id) && owner_of(id, p, skew) == rank) {
+                        expected.push_back(id);
+                    }
+                }
+                std::vector<TaskId> walked;
+                ledger.for_each_owned_pending(
+                    rank, p, skew, [&](TaskId id) { walked.push_back(id); });
+                EXPECT_EQ(walked, expected) << "n = " << n << ", p = " << p << ", rank " << rank;
+            }
+        }
     }
 }
 

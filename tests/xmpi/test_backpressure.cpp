@@ -12,6 +12,7 @@
 #include <atomic>
 #include <chrono>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -478,6 +479,44 @@ TEST(Backpressure, NonBlockingSendsReturnOnAFullRing) {
             ASSERT_EQ(XMPI_Request_free(&request), XMPI_SUCCESS);
         }
     });
+}
+
+// MPI lets a caller free an active send request. Sends a full ring deferred
+// into fibers still arrive in send order when their requests, buffers and
+// communicator all go at once (as when kamping drops a result that owns
+// them): the sender's exit finishes them. Nothing is diagnosed, and no
+// early free is counted.
+TEST(Backpressure, FreedDeferredSendsStillDeliverInOrder) {
+    SmallRing ring;
+    std::atomic<bool> all_freed{false};
+    testing::internal::CaptureStderr();
+    World::run_ranked(2, [&](int rank) {
+        XMPI_Comm comm = XMPI_COMM_NULL;
+        ASSERT_EQ(XMPI_Comm_dup(XMPI_COMM_WORLD, &comm), XMPI_SUCCESS);
+        if (rank == 1) {
+            await_flag(all_freed);
+            receive_burst(comm, 0);
+        } else {
+            for (int i = 0; i < kMessages; ++i) {
+                std::vector<int> payload(kInts, i);
+                XMPI_Request request = XMPI_REQUEST_NULL;
+                ASSERT_EQ(
+                    XMPI_Isend(
+                        payload.data(), static_cast<int>(kInts), XMPI_INT, 1, kBurstTag, comm,
+                        &request),
+                    XMPI_SUCCESS);
+                ASSERT_EQ(XMPI_Request_free(&request), XMPI_SUCCESS);
+            }
+            auto const counters = xmpi::profile::my_snapshot();
+            EXPECT_GT(counters.ring_full_fallbacks, 0u);
+            EXPECT_EQ(counters.engine_incomplete_destructions, 0u);
+        }
+        ASSERT_EQ(XMPI_Comm_free(&comm), XMPI_SUCCESS);
+        all_freed.store(true);
+    });
+    // xmpi prints nothing; a sanitizer may print its own fiber warning.
+    std::string const diagnostics = testing::internal::GetCapturedStderr();
+    EXPECT_EQ(diagnostics.find("xmpi"), std::string::npos) << diagnostics;
 }
 
 // A receiver killed while its sender waits for ring space: the send
